@@ -41,6 +41,6 @@ from .mps import (
     stats,
     to_statevector,
 )
-from .tensor import SvdResult, conjugate, contract, reshape, svd_truncated
+from .tensor import SvdResult, svd_truncated
 
 __version__ = "0.1.0"

@@ -130,10 +130,12 @@ def cmd_preprocess(cfg: ExperimentConfig, out_csv: str) -> dict:
     return {"rows": out.n, "features": out.m, "per_class": counts, "path": str(out_csv)}
 
 
-def _metric_rows(K_train, K_test, train_labels, test_labels, grid, tol=learn.DEFAULT_TOL):
+def _metric_rows(K_train, K_test, train_labels, test_labels, grid):
+    """One metrics row per C, plus the model fitted for each row."""
     rows = []
+    models = []
     for C in grid:
-        model = learn.svm_train(K_train, train_labels, C, tol=tol)
+        model = learn.svm_train(K_train, train_labels, C)
         train_metrics = learn.evaluate(
             learn.decision_scores(model, K_train), train_labels
         )
@@ -146,7 +148,26 @@ def _metric_rows(K_train, K_test, train_labels, test_labels, grid, tol=learn.DEF
                 "test": test_metrics.to_dict(),
             }
         )
-    return rows
+        models.append(model)
+    return rows, models
+
+
+def _best(rows) -> int:
+    """Index of the first row with the highest test AUC."""
+    return max(range(len(rows)), key=lambda i: rows[i]["test"]["auc"])
+
+
+def _sidecar(cfg: ExperimentConfig, n: int, report: kernel.RunReport) -> dict:
+    return {
+        "cfg": {"m": cfg.m, "r": cfg.r, "d": cfg.d, "gamma": cfg.gamma, "budget": cfg.budget},
+        "N": n,
+        "strategy": cfg.strategy,
+        "k": cfg.workers,
+        "seed": cfg.seed,
+        "timings": report.seconds,
+        "n_simulations": report.n_simulations,
+        "n_inner_products": report.n_inner_products,
+    }
 
 
 def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -176,40 +197,30 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
         X_test, X_train, fmap, sched_test, budget=cfg.budget, report=report
     )
 
-    sidecar = {
-        "cfg": {"m": cfg.m, "r": cfg.r, "d": cfg.d, "gamma": cfg.gamma, "budget": cfg.budget},
-        "N": int(dataset.n),
-        "strategy": cfg.strategy,
-        "k": cfg.workers,
-        "seed": cfg.seed,
-        "timings": report.seconds,
-        "n_simulations": report.n_simulations,
-        "n_inner_products": report.n_inner_products,
-    }
+    sidecar = _sidecar(cfg, int(dataset.n), report)
     kernel.save_gram(gram_train, out / "gram_train.csv", sidecar)
     kernel.save_gram(gram_test, out / "gram_test.csv", sidecar)
 
     grid = cfg.grid()
-    quantum_rows = _metric_rows(gram_train, gram_test, y_train, y_test, grid)
-    best = max(quantum_rows, key=lambda row: row["test"]["auc"])
-    best_model = learn.svm_train(gram_train, y_train, best["C"])
-    learn.save_model_json(out / "model_best.json", best_model)
+    quantum_rows, models = _metric_rows(gram_train, gram_test, y_train, y_test, grid)
+    best = _best(quantum_rows)
+    learn.save_model_json(out / "model_best.json", models[best])
     result = {
         "config": asdict(cfg),
         "split": {"train_indices": train_idx.tolist(), "test_indices": test_idx.tolist()},
         "rescale_params": params,
         "report": sidecar,
         "quantum": quantum_rows,
-        "best_quantum": best,
+        "best_quantum": quantum_rows[best],
     }
     if cfg.baseline:
         alpha = learn.default_bandwidth(X_train)
         g_train = learn.gaussian_gram(X_train, X_train, alpha)
         g_test = learn.gaussian_gram(X_test, X_train, alpha)
-        gaussian_rows = _metric_rows(g_train, g_test, y_train, y_test, grid)
+        gaussian_rows, _ = _metric_rows(g_train, g_test, y_train, y_test, grid)
         result["gaussian"] = gaussian_rows
         result["gaussian_alpha"] = alpha
-        result["best_gaussian"] = max(gaussian_rows, key=lambda row: row["test"]["auc"])
+        result["best_gaussian"] = gaussian_rows[_best(gaussian_rows)]
     _write_json(out / "metrics.json", result)
     return result
 
@@ -223,16 +234,7 @@ def cmd_gram(cfg: ExperimentConfig, out_dir: str) -> dict:
     report = kernel.RunReport()
     sched = kernel.make_schedule(len(X), len(X), cfg.workers, cfg.strategy, "train")
     gram = kernel.run_distributed(X, X, cfg.feature_map(), sched, budget=cfg.budget, report=report)
-    sidecar = {
-        "cfg": {"m": cfg.m, "r": cfg.r, "d": cfg.d, "gamma": cfg.gamma, "budget": cfg.budget},
-        "N": int(dataset.n),
-        "strategy": cfg.strategy,
-        "k": cfg.workers,
-        "seed": cfg.seed,
-        "timings": report.seconds,
-        "n_simulations": report.n_simulations,
-        "n_inner_products": report.n_inner_products,
-    }
+    sidecar = _sidecar(cfg, int(dataset.n), report)
     kernel.save_gram(gram, out / "gram.csv", sidecar)
     return sidecar
 
@@ -414,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = cmd_benchmark(cfg, args.samples, args.out_dir)
             summary = summary["simulation_summary"]
         print(json.dumps(summary, sort_keys=True))
-    except learn.ConvergenceError as exc:
+    except (learn.ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:

@@ -1,31 +1,25 @@
-"""Gram matrices of squared state overlaps, computed serially or by tiled workers.
+"""Gram matrices of squared state overlaps, filled tile by tile.
 
 Each data row is encoded and simulated once as an MPS; kernel entries are
-squared moduli of pairwise inner products. Two distribution strategies are
-supported: ``no_messaging`` (workers independently simulate whatever their
-tiles need) and ``round_robin`` (every state is simulated exactly once and
-half-blocks of states circulate between workers).
+squared moduli of pairwise inner products. A :class:`TileSchedule` is the
+plan for spreading that work over ``k`` workers with one of two strategies:
+``no_messaging`` (workers independently simulate whatever their tiles need)
+and ``round_robin`` (every state is simulated exactly once and half-blocks
+of states circulate between workers). :func:`run_distributed` executes a
+plan serially on the calling thread, so ``k`` shapes the tiles but never the
+result.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ansatz import FeatureMapConfig, encode_circuit
-from .mps import (
-    DEFAULT_TRUNC_BUDGET,
-    MpsState,
-    deserialize_state,
-    inner_product,
-    serialize_state,
-    simulate_circuit,
-)
+from .mps import DEFAULT_TRUNC_BUDGET, MpsState, inner_product, simulate_circuit
 
 STRATEGIES = ("no_messaging", "round_robin")
 KINDS = ("train", "test")
@@ -93,17 +87,12 @@ class TileSchedule:
 
 @dataclass
 class RunReport:
-    """Counters and phase timings filled in by a Gram computation."""
+    """Counters and per-phase wall seconds filled in by a Gram computation."""
 
     n_simulations: int = 0
     n_inner_products: int = 0
     seconds: dict[str, float] = field(
-        default_factory=lambda: {
-            "simulation": 0.0,
-            "inner_products": 0.0,
-            "communication": 0.0,
-            "merge": 0.0,
-        }
+        default_factory=lambda: {"simulation": 0.0, "inner_products": 0.0}
     )
 
     def _add(self, phase: str, dt: float) -> None:
@@ -164,21 +153,38 @@ def compute_gram(
         raise ValueError("train kind requires bras and kets to be the same states")
     if bras and kets and bras[0].m != kets[0].m:
         raise ValueError("qubit count mismatch between state lists")
+    return _fill_tiles(bras, kets, kind, [Tile(0, 0, len(bras), 0, len(kets))], report)
+
+
+def _fill_tiles(
+    bras: list[MpsState],
+    kets: list[MpsState],
+    kind: str,
+    tiles: list[Tile],
+    report: RunReport | None,
+) -> GramMatrix:
+    """Fill a Gram matrix from ``tiles``, in order, on the calling thread.
+
+    Every entry starts as NaN (the ``train`` diagonal as 1), so an entry no
+    tile covers is caught at the end. A ``train`` tile whose ranges coincide
+    computes its strict upper triangle; every ``train`` entry is mirrored.
+    """
+    train = kind == "train"
+    K = np.full((len(bras), len(kets)), np.nan)
+    if train:
+        np.fill_diagonal(K, 1.0)
     t0 = time.perf_counter()
     count = 0
-    if kind == "train":
-        n = len(kets)
-        K = np.eye(n, dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                K[i, j] = K[j, i] = abs(inner_product(kets[i], kets[j])) ** 2
+    for tile in tiles:
+        diag = train and (tile.row_start, tile.row_stop) == (tile.col_start, tile.col_stop)
+        for i in range(tile.row_start, tile.row_stop):
+            for j in range(i + 1 if diag else tile.col_start, tile.col_stop):
+                K[i, j] = abs(inner_product(bras[i], kets[j])) ** 2
+                if train:
+                    K[j, i] = K[i, j]
                 count += 1
-    else:
-        K = np.empty((len(bras), len(kets)), dtype=np.float64)
-        for i, b in enumerate(bras):
-            for j, t in enumerate(kets):
-                K[i, j] = abs(inner_product(b, t)) ** 2
-                count += 1
+    if np.isnan(K).any():
+        raise RuntimeError("schedule execution left Gram entries uncomputed")
     if report is not None:
         report.n_inner_products += count
         report._add("inner_products", time.perf_counter() - t0)
@@ -367,79 +373,6 @@ def validate_schedule(schedule: TileSchedule) -> None:
         raise AssertionError("some state is never simulated")
 
 
-class _Worker:
-    """Executes one worker's share of a schedule over in-process channels."""
-
-    def __init__(self, wid, schedule, X_bras, X_kets, cfg, budget, inboxes):
-        self.wid = wid
-        self.schedule = schedule
-        self.X_bras = X_bras
-        self.X_kets = X_kets
-        self.cfg = cfg
-        self.budget = budget
-        self.inboxes = inboxes
-        self.store: dict[tuple[str, int], MpsState] = {}
-        self.results: list[tuple[int, int, float]] = []
-        self.report = RunReport()
-
-    def _simulate(self, which: str, idx: int) -> None:
-        row = (self.X_bras if which == "bra" else self.X_kets)[idx]
-        t0 = time.perf_counter()
-        state = simulate_circuit(encode_circuit(row, self.cfg), budget=self.budget)
-        self.report.n_simulations += 1
-        self.report._add("simulation", time.perf_counter() - t0)
-        self.store[(which, idx)] = state
-
-    def run(self) -> None:
-        train = self.schedule.kind == "train"
-        for which, a, b in self.schedule.initial_states.get(self.wid, []):
-            for i in range(a, b):
-                self._simulate(which, i)
-        pending: dict[int, list] = {}
-        for step_idx, step in enumerate(self.schedule.steps):
-            t0 = time.perf_counter()
-            for tr in step.transfers:
-                if tr.src != self.wid or tr.dst == self.wid or tr.stop <= tr.start:
-                    continue
-                payload = [
-                    (tr.which, i, serialize_state(self.store[(tr.which, i)]))
-                    for i in range(tr.start, tr.stop)
-                ]
-                self.inboxes[tr.dst].put((step_idx, payload))
-            expected = sum(
-                1
-                for tr in step.transfers
-                if tr.dst == self.wid and tr.src != self.wid and tr.stop > tr.start
-            )
-            while len(pending.get(step_idx, [])) < expected:
-                got_step, payload = self.inboxes[self.wid].get()
-                pending.setdefault(got_step, []).append(payload)
-            for payload in pending.pop(step_idx, []):
-                for which, i, blob in payload:
-                    self.store[(which, i)] = deserialize_state(blob)
-            self.report._add("communication", time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            count = 0
-            for tile in step.tiles:
-                if tile.worker != self.wid:
-                    continue
-                diag = train and (tile.row_start, tile.row_stop) == (
-                    tile.col_start,
-                    tile.col_stop,
-                )
-                row_which = "ket" if train else "bra"
-                for i in range(tile.row_start, tile.row_stop):
-                    bra = self.store[(row_which, i)]
-                    j0 = i + 1 if diag else tile.col_start
-                    for j in range(j0, tile.col_stop):
-                        val = abs(inner_product(bra, self.store[("ket", j)])) ** 2
-                        self.results.append((i, j, val))
-                        count += 1
-            self.report.n_inner_products += count
-            self.report._add("inner_products", time.perf_counter() - t0)
-
-
 def run_distributed(
     X_bras,
     X_kets,
@@ -448,11 +381,13 @@ def run_distributed(
     budget: float = DEFAULT_TRUNC_BUDGET,
     report: RunReport | None = None,
 ) -> GramMatrix:
-    """Execute a schedule with k in-process workers and merge their tiles.
+    """Execute a schedule serially on the calling thread.
 
-    The result is identical to the serial :func:`compute_gram` path for any
-    worker count and either strategy. ``k=1`` runs inline on the calling
-    thread; worker failures surface as a single run error.
+    Every state that some worker's plan simulates is simulated once, then
+    the tiles are filled in step order; transfers need no copies in one
+    address space. The result is bit-identical to the serial
+    :func:`compute_gram` path for any worker count and either strategy, and
+    an error raised by a simulation or an inner product propagates as is.
     """
     X_bras = _check_rows(X_bras, cfg.m)
     X_kets = _check_rows(X_kets, cfg.m)
@@ -461,55 +396,26 @@ def run_distributed(
     if schedule.kind == "train" and not np.array_equal(X_bras, X_kets):
         raise ValueError("train kind requires identical bra and ket rows")
 
-    inboxes = [queue.Queue() for _ in range(schedule.k)]
-    workers = [
-        _Worker(w, schedule, X_bras, X_kets, cfg, budget, inboxes)
-        for w in range(schedule.k)
-    ]
-    if schedule.k == 1:
-        workers[0].run()
-    else:
-        errors: list[BaseException] = []
-
-        def task(worker: _Worker) -> None:
-            try:
-                worker.run()
-            except BaseException as exc:  # surfaced below, no partial result
-                errors.append(exc)
-
-        threads = [threading.Thread(target=task, args=(w,)) for w in workers]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        if errors:
-            raise RuntimeError("worker failed during distributed run") from errors[0]
-
+    rows = {"bra": X_bras, "ket": X_kets}
+    states: dict[str, list[MpsState | None]] = {
+        "bra": [None] * schedule.n_bras,
+        "ket": [None] * schedule.n_kets,
+    }
     t0 = time.perf_counter()
-    if schedule.kind == "train":
-        K = np.eye(schedule.n_kets, dtype=np.float64)
-        filled = np.eye(schedule.n_kets, dtype=bool)
-        for w in workers:
-            for i, j, val in w.results:
-                K[i, j] = K[j, i] = val
-                filled[i, j] = filled[j, i] = True
-    else:
-        K = np.zeros((schedule.n_bras, schedule.n_kets), dtype=np.float64)
-        filled = np.zeros_like(K, dtype=bool)
-        for w in workers:
-            for i, j, val in w.results:
-                K[i, j] = val
-                filled[i, j] = True
-    if not filled.all():
-        raise RuntimeError("schedule execution left Gram entries uncomputed")
+    count = 0
+    for ranges in schedule.initial_states.values():
+        for which, a, b in ranges:
+            for i in range(a, b):
+                if states[which][i] is None:
+                    circuit = encode_circuit(rows[which][i], cfg)
+                    states[which][i] = simulate_circuit(circuit, budget=budget)
+                    count += 1
     if report is not None:
-        for w in workers:
-            report.n_simulations += w.report.n_simulations
-            report.n_inner_products += w.report.n_inner_products
-            for phase, dt in w.report.seconds.items():
-                report._add(phase, dt)
-        report._add("merge", time.perf_counter() - t0)
-    return GramMatrix(K, schedule.kind)
+        report.n_simulations += count
+        report._add("simulation", time.perf_counter() - t0)
+    bras = states["ket" if schedule.kind == "train" else "bra"]
+    tiles = [tile for step in schedule.steps for tile in step.tiles]
+    return _fill_tiles(bras, states["ket"], schedule.kind, tiles, report)
 
 
 def save_gram(gram: GramMatrix, csv_path, sidecar: dict | None = None) -> None:

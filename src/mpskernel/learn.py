@@ -104,18 +104,6 @@ def rescale(train_features, other_features):
     return apply(train), apply(other), params
 
 
-def apply_rescale(features, params) -> np.ndarray:
-    """Apply stored (min, max) rescale parameters to new rows, with clamping."""
-    mat = np.asarray(features, dtype=np.float64)
-    lo = np.array([p[0] for p in params])
-    hi = np.array([p[1] for p in params])
-    span = hi - lo
-    out = np.full_like(mat, 1.0)
-    ok = span != 0.0
-    out[:, ok] = 2.0 * (mat[:, ok] - lo[ok]) / span[ok]
-    return np.clip(out, 0.0, 2.0)
-
-
 def split_indices(labels, train_fraction: float = 0.8, seed: int = 0):
     """Class-balanced train/test index split, deterministic per seed."""
     labels = np.asarray(labels)

@@ -315,20 +315,29 @@ def serialize_state(state: MpsState) -> bytes:
 
 
 def deserialize_state(buf: bytes) -> MpsState:
+    """Parse :func:`serialize_state` output; a malformed buffer raises ValueError."""
     if buf[:4] != _MAGIC:
         raise ValueError("not a serialized MPS state")
     off = 4
     header = struct.Struct("<IddiIQQ")
-    m, budget, discard, center, peak, g1, g2 = header.unpack_from(buf, off)
-    off += header.size
     sites = []
-    for _ in range(m):
-        chi_l, chi_r = struct.unpack_from("<II", buf, off)
-        off += 8
-        n = chi_l * 2 * chi_r
-        entries = np.frombuffer(buf, dtype="<c16", count=n, offset=off)
-        off += 16 * n
-        sites.append(entries.astype(np.complex128).reshape(chi_l, 2, chi_r))
+    try:
+        m, budget, discard, center, peak, g1, g2 = header.unpack_from(buf, off)
+        off += header.size
+        for _ in range(m):
+            chi_l, chi_r = struct.unpack_from("<II", buf, off)
+            off += 8
+            n = chi_l * 2 * chi_r
+            entries = np.frombuffer(buf, dtype="<c16", count=n, offset=off)
+            off += 16 * n
+            sites.append(entries.astype(np.complex128).reshape(chi_l, 2, chi_r))
+    except struct.error as exc:
+        raise ValueError(f"truncated MPS state: {exc}") from exc
+    if off != len(buf):
+        raise ValueError(f"{len(buf) - off} trailing bytes after the last site")
+    bonds = [1] + [t.shape[2] for t in sites]
+    if not sites or bonds[-1] != 1 or any(t.shape[0] != b for t, b in zip(sites, bonds)):
+        raise ValueError("site shapes do not form an open chain")
     return MpsState(
         sites=sites,
         trunc_budget_per_gate=budget,

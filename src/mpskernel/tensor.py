@@ -1,8 +1,7 @@
-"""Dense complex tensor algebra: contraction, reshape, conjugation, truncated SVD.
+"""Truncated SVD of dense complex tensors.
 
 Tensors are plain ``numpy.ndarray`` objects with ``complex128`` entries stored
-in row-major order. A rank-0 result is represented with shape ``(1,)`` so that
-every tensor has a non-empty shape.
+in row-major order.
 """
 
 from __future__ import annotations
@@ -33,57 +32,6 @@ class SvdResult:
     discarded_weight: float
 
 
-def _as_tensor(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.complex128)
-    if t.ndim == 0:
-        t = t.reshape(1)
-    return t
-
-
-def contract(a, b, bond_pairs) -> np.ndarray:
-    """Contract ``a`` with ``b`` along pairs of (axis-of-a, axis-of-b).
-
-    The result keeps the uncontracted axes of ``a`` followed by the
-    uncontracted axes of ``b``. Contracting every axis of both tensors yields
-    a scalar tensor of shape ``(1,)``.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    pairs = [(int(pa), int(pb)) for pa, pb in bond_pairs]
-    axes_a = [pa for pa, _ in pairs]
-    axes_b = [pb for _, pb in pairs]
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ValueError("repeated axis index in bond_pairs")
-    for pa, pb in pairs:
-        if not (0 <= pa < a.ndim and 0 <= pb < b.ndim):
-            raise ValueError(f"axis pair ({pa}, {pb}) out of range")
-        if a.shape[pa] != b.shape[pb]:
-            raise ValueError(
-                f"bond dimension mismatch: a axis {pa} has size {a.shape[pa]}, "
-                f"b axis {pb} has size {b.shape[pb]}"
-            )
-    out = np.tensordot(a, b, axes=(axes_a, axes_b))
-    if out.ndim == 0:
-        out = out.reshape(1)
-    return out
-
-
-def reshape(t, new_shape) -> np.ndarray:
-    """Reshape ``t`` under the fixed row-major index bijection."""
-    t = _as_tensor(t)
-    shape = tuple(int(d) for d in new_shape)
-    if not shape or any(d < 1 for d in shape):
-        raise ValueError("new_shape must be non-empty with dimensions >= 1")
-    if math.prod(shape) != t.size:
-        raise ValueError(f"cannot reshape {t.size} entries into shape {shape}")
-    return t.reshape(shape)
-
-
-def conjugate(t) -> np.ndarray:
-    """Complex-conjugate every entry; shape is unchanged."""
-    return np.conj(_as_tensor(t))
-
-
 def svd_truncated(t, left_axes: int, budget: float) -> SvdResult:
     """Truncated SVD of ``t`` split after its first ``left_axes`` axes.
 
@@ -92,7 +40,7 @@ def svd_truncated(t, left_axes: int, budget: float) -> SvdResult:
     sum stays within ``budget`` is removed; at least one value is always
     retained.
     """
-    t = _as_tensor(t)
+    t = np.asarray(t, dtype=np.complex128)
     if not 0 < left_axes < t.ndim:
         raise ValueError("split must leave a non-empty axis group on each side")
     if budget < 0:
@@ -103,7 +51,13 @@ def svd_truncated(t, left_axes: int, budget: float) -> SvdResult:
     left_shape = t.shape[:left_axes]
     right_shape = t.shape[left_axes:]
     mat = t.reshape(math.prod(left_shape), math.prod(right_shape))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge on a matrix whose conjugate transpose it
+        # decomposes fine: mat^H = v s uh gives mat = uh^H s v^H
+        v, s, uh = np.linalg.svd(mat.conj().T, full_matrices=False)
+        u, vh = uh.conj().T, v.conj().T
 
     if s.size and s[0] > 0.0:
         s = np.where(s < NOISE_FLOOR * s[0], 0.0, s)

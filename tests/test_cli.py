@@ -7,6 +7,7 @@ import pytest
 
 from mpskernel.cli import (
     EXIT_IO,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
     ExperimentConfig,
@@ -248,3 +249,20 @@ class TestMainEntry:
         meta = json.loads((tmp_path / "gram.csv.json").read_text())
         assert meta["strategy"] == "no_messaging"
         assert meta["n_inner_products"] == 10 * 9 // 2
+
+    def test_svd_non_convergence_gives_solver_exit(self, tmp_path, capsys, monkeypatch):
+        def never_converges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", never_converges)
+        code = main(
+            [
+                "gram",
+                "--synthetic",
+                "--features", "4",
+                "--per-class", "2",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_NONCONVERGENCE
+        assert "did not converge" in capsys.readouterr().err

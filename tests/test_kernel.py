@@ -1,10 +1,15 @@
 """Tests for Gram computation, tile schedules and the distributed executor."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from mpskernel import kernel
 from mpskernel.ansatz import FeatureMapConfig
 from mpskernel.kernel import (
+    STRATEGIES,
     GramMatrix,
     RunReport,
     compute_gram,
@@ -162,7 +167,7 @@ class TestRunDistributed:
         serial = compute_gram(states, states, "train")
         sched = make_schedule(8, 8, k, strategy, "train")
         gram = run_distributed(rows, rows, CFG, sched)
-        assert np.abs(gram.entries - serial.entries).max() < 1e-12
+        assert np.array_equal(gram.entries, serial.entries)
 
     def test_strategies_agree_on_test_kind(self, rows):
         rng = np.random.default_rng(3)
@@ -205,6 +210,45 @@ class TestRunDistributed:
         sched = make_schedule(8, 8, 2, "round_robin", "train")
         with pytest.raises(ValueError, match="state counts"):
             run_distributed(rows[:4], rows[:4], CFG, sched)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_simulation_failure_surfaces_without_hanging(self, rows, strategy, monkeypatch):
+        class InjectedFailure(Exception):
+            pass
+
+        real = kernel.simulate_circuit
+        calls = []
+
+        def fail_fourth_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise InjectedFailure("simulation failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "simulate_circuit", fail_fourth_call)
+        sched = make_schedule(8, 8, 2, strategy, "train")
+        outcome = []
+
+        def call():
+            try:
+                run_distributed(rows, rows, CFG, sched)
+            except BaseException as exc:
+                outcome.append(exc)
+
+        # a hung run must fail this test, not stall the suite
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "run_distributed hung after a simulation failure"
+        assert len(outcome) == 1 and isinstance(outcome[0], InjectedFailure)
+
+    def test_phase_seconds_fit_in_wall_time(self, rows):
+        report = RunReport()
+        sched = make_schedule(8, 8, 2, "round_robin", "train")
+        t0 = time.perf_counter()
+        run_distributed(rows, rows, CFG, sched, report=report)
+        wall = time.perf_counter() - t0
+        assert sum(report.seconds.values()) <= wall
 
 
 class TestGramPersistence:

@@ -1,5 +1,7 @@
 """Tests for MPS initialization, gate application, canonical form and overlaps."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,32 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             deserialize_state(b"nope" + b"\x00" * 64)
+
+    def test_truncated_or_padded_buffers_rejected(self):
+        blob = serialize_state(init_state(3, "plus"))
+        header = struct.pack("<IddiIQQ", 2, 1e-24, 0.0, 0, 1, 0, 0)
+        no_sites = b"MPS1" + struct.pack("<IddiIQQ", 0, 1e-24, 0.0, 0, 1, 0, 0)
+        broken_bond = (
+            b"MPS1"
+            + header
+            + struct.pack("<II", 1, 2)
+            + bytes(16 * 4)
+            + struct.pack("<II", 1, 1)
+            + bytes(16 * 2)
+        )
+        # bare magic, short header, short site record, short entries, trailing
+        # byte, zero sites, and neighbouring sites whose bonds disagree
+        for bad in (
+            b"MPS1",
+            blob[:20],
+            blob[:52],
+            blob[:-1],
+            blob + b"\x00",
+            no_sites,
+            broken_bond,
+        ):
+            with pytest.raises(ValueError):
+                deserialize_state(bad)
 
     def test_run_circuit_memory_log(self):
         rng = np.random.default_rng(14)

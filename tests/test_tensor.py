@@ -1,112 +1,11 @@
-"""Tests for dense tensor contraction, reshape, conjugation and truncated SVD."""
+"""Tests for the truncated SVD."""
 
 import numpy as np
 import pytest
 
-from mpskernel.tensor import NOISE_FLOOR, conjugate, contract, reshape, svd_truncated
+from mpskernel.tensor import NOISE_FLOOR, svd_truncated
 
-from oracles import contract_loops, matrix_with_spectrum, random_complex
-
-
-class TestContract:
-    def test_matrix_multiplication_case(self):
-        rng = np.random.default_rng(0)
-        a = random_complex(rng, (2, 3))
-        b = random_complex(rng, (3, 4))
-        out = contract(a, b, [(1, 0)])
-        assert out.shape == (2, 4)
-        assert np.allclose(out, a @ b)
-
-    def test_identity_leaves_operand_unchanged(self):
-        rng = np.random.default_rng(1)
-        b = random_complex(rng, (2, 5))
-        out = contract(np.eye(2), b, [(1, 0)])
-        assert np.allclose(out, b)
-
-    def test_matches_nested_loop_oracle(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, (2, 2, 3))
-        b = random_complex(rng, (3, 2, 2, 2))
-        out = contract(a, b, [(2, 0)])
-        assert out.shape == (2, 2, 2, 2, 2)
-        assert np.allclose(out, contract_loops(a, b, [(2, 0)]), rtol=1e-12, atol=1e-12)
-
-    def test_random_tensors_against_loops(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            rank_a = rng.integers(1, 6)
-            rank_b = rng.integers(1, 6)
-            a = random_complex(rng, tuple(rng.integers(1, 5, rank_a)))
-            b = random_complex(rng, tuple(rng.integers(1, 5, rank_b)))
-            n_pairs = rng.integers(0, min(rank_a, rank_b) + 1)
-            axes_a = rng.permutation(rank_a)[:n_pairs]
-            axes_b = rng.permutation(rank_b)[:n_pairs]
-            pairs = []
-            b = np.array(b)
-            # force the paired dimensions to agree by reshaping b's axes
-            new_shape = list(b.shape)
-            for ax_a, ax_b in zip(axes_a, axes_b):
-                new_shape[ax_b] = a.shape[ax_a]
-                pairs.append((int(ax_a), int(ax_b)))
-            b = random_complex(rng, tuple(new_shape))
-            got = contract(a, b, pairs)
-            want = contract_loops(a, b, pairs)
-            scale = max(np.abs(want).max(), 1.0)
-            assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
-
-    def test_full_contraction_gives_scalar_tensor(self):
-        rng = np.random.default_rng(4)
-        a = random_complex(rng, (2, 3))
-        b = random_complex(rng, (2, 3))
-        out = contract(a, b, [(0, 0), (1, 1)])
-        assert out.shape == (1,)
-        assert np.allclose(out[0], np.sum(a * b))
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            contract(np.zeros((2, 3)), np.zeros((4, 2)), [(1, 0)])
-
-    def test_repeated_axis_raises(self):
-        with pytest.raises(ValueError, match="repeated"):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(0, 0), (0, 1)])
-
-
-class TestReshape:
-    def test_row_major_flattening(self):
-        t = np.arange(6, dtype=complex).reshape(2, 3)
-        flat = reshape(t, [6])
-        for i in range(2):
-            for j in range(3):
-                assert flat[3 * i + j] == t[i, j]
-
-    def test_reshape_to_own_shape(self):
-        rng = np.random.default_rng(5)
-        t = random_complex(rng, (2, 3, 2))
-        assert np.array_equal(reshape(t, (2, 3, 2)), t)
-
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(6)
-        t = random_complex(rng, (2, 2, 2))
-        back = reshape(reshape(t, (2, 4)), (2, 2, 2))
-        assert np.array_equal(back, t)
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError, match="reshape"):
-            reshape(np.zeros((2, 3)), (4, 2))
-
-
-class TestConjugate:
-    def test_real_tensor_is_fixed_point(self):
-        t = np.arange(8.0).reshape(2, 4)
-        assert np.array_equal(conjugate(t), t)
-
-    def test_single_entry(self):
-        assert conjugate(np.array([1 + 2j]))[0] == 1 - 2j
-
-    def test_involution(self):
-        rng = np.random.default_rng(7)
-        t = random_complex(rng, (3, 2, 2))
-        assert np.array_equal(conjugate(conjugate(t)), t)
+from oracles import matrix_with_spectrum, random_complex
 
 
 class TestSvdTruncated:
@@ -186,3 +85,21 @@ class TestSvdTruncated:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
             svd_truncated(bad, 1, 0.0)
+
+    def test_non_convergence_falls_back_to_conjugate_transpose(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        t = random_complex(rng, (2, 3, 4))
+        svd = np.linalg.svd
+        calls = []
+
+        def fail_first(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_first)
+        res = svd_truncated(t, 1, 0.0)
+        assert calls == [(2, 12), (12, 2)]
+        approx = np.tensordot(res.left * res.singular_values, res.right, axes=(1, 0))
+        assert np.abs(approx - t).max() < 1e-12
