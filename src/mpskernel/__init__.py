@@ -8,7 +8,6 @@ from .ansatz import (
     encode_circuit,
     interaction_graph,
     route_linear,
-    schedule_layers,
 )
 from .kernel import (
     GramMatrix,

@@ -1,8 +1,10 @@
 """Data-encoding circuits on a linear qubit chain.
 
-Builds the feature-map circuit for a rescaled data row, reorders commuting
-two-qubit rotations into parallel layers, and inserts SWAP gates so that
-every two-qubit gate acts on adjacent qubits.
+Builds the feature-map circuit for a rescaled data row and inserts SWAP
+gates so that every two-qubit gate acts on adjacent qubits. Gates keep the
+order they were built in: the RXX gates of one distance run left to right,
+so an MPS simulation moves its orthogonality center in one sweep along the
+chain per distance and repetition.
 """
 
 from __future__ import annotations
@@ -106,14 +108,14 @@ def interaction_graph(m: int, d: int) -> list[tuple[int, int]]:
     return [(i, i + k) for k in range(1, d + 1) for i in range(m - k)]
 
 
-def build_circuit(x, cfg: FeatureMapConfig, drop_zero_rxx: bool = False) -> Circuit:
+def build_circuit(x, cfg: FeatureMapConfig) -> Circuit:
     """Encoding circuit for a rescaled feature row ``x``.
 
     Hadamards on every qubit, then ``r`` repetitions of a single-qubit RZ
     layer followed by an RXX gate per interaction edge. Angles are twice the
     underlying Hamiltonian coefficients to match the rotation convention of
-    :func:`gate_matrix`. Zero-angle RXX gates are emitted unless
-    ``drop_zero_rxx`` is set, so gate counts stay predictable.
+    :func:`gate_matrix`. Zero-angle RXX gates are emitted too, so gate
+    counts stay predictable.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != cfg.m:
@@ -130,94 +132,33 @@ def build_circuit(x, cfg: FeatureMapConfig, drop_zero_rxx: bool = False) -> Circ
             gates.append(Gate("RZ", (q,), 2.0 * cfg.gamma * x[q]))
         for i, j in edges:
             angle = 2.0 * cfg.gamma**2 * (math.pi / 2.0) * (1.0 - x[i]) * (1.0 - x[j])
-            if drop_zero_rxx and angle == 0.0:
-                continue
             gates.append(Gate("RXX", (i, j), angle))
     return Circuit(cfg.m, gates)
-
-
-def layered_gates(c: Circuit, d: int) -> list[list[Gate]]:
-    """Greedy first-fit grouping of a commuting RXX block into parallel layers.
-
-    Each layer touches every qubit at most once and the total never exceeds
-    2*d layers for edges of the banded interaction graph.
-    """
-    layers: list[list[Gate]] = []
-    used: list[set[int]] = []
-    for g in c.gates:
-        if g.kind != "RXX":
-            raise ValueError(f"layer scheduling expects RXX gates only, got {g.kind}")
-        a, b = g.qubits
-        for layer, qubits in zip(layers, used):
-            if a not in qubits and b not in qubits:
-                layer.append(g)
-                qubits.update((a, b))
-                break
-        else:
-            layers.append([g])
-            used.append({a, b})
-    if len(layers) > 2 * d:
-        raise AssertionError(f"greedy scheduling used {len(layers)} > 2d = {2 * d} layers")
-    return layers
-
-
-def schedule_layers(c: Circuit, d: int) -> Circuit:
-    """Reorder a block of commuting RXX gates into at most 2*d layers."""
-    gates = [g for layer in layered_gates(c, d) for g in layer]
-    return Circuit(c.m, gates)
-
-
-def schedule_circuit(c: Circuit, d: int) -> Circuit:
-    """Apply :func:`schedule_layers` to every maximal run of RXX gates."""
-    out: list[Gate] = []
-    run: list[Gate] = []
-    for g in c.gates:
-        if g.kind == "RXX":
-            run.append(g)
-        else:
-            if run:
-                out.extend(schedule_layers(Circuit(c.m, run), d).gates)
-                run = []
-            out.append(g)
-    if run:
-        out.extend(schedule_layers(Circuit(c.m, run), d).gates)
-    return Circuit(c.m, out)
 
 
 def route_linear(c: Circuit) -> Circuit:
     """Make every two-qubit gate act on adjacent qubits via SWAP insertion.
 
-    A gate on positions (i, i+k) is preceded by k-1 SWAPs that bring the
-    qubits together and followed by the reverse sequence, so the layout is
-    restored after every gate. Logical-to-physical placement is tracked so
-    single-qubit gates stay on the right wire.
+    A gate on (lo, lo+k) is preceded by k-1 SWAPs that bring its qubits
+    together and followed by the same SWAPs in reverse, so the layout is
+    restored after every gate and single-qubit gates pass through unchanged.
     """
-    pos = list(range(c.m))  # logical -> physical
-    occ = list(range(c.m))  # physical -> logical
     out: list[Gate] = []
-
-    def emit_swap(p: int) -> None:
-        out.append(Gate("SWAP", (p, p + 1)))
-        la, lb = occ[p], occ[p + 1]
-        occ[p], occ[p + 1] = lb, la
-        pos[la], pos[lb] = p + 1, p
-
     for g in c.gates:
         if len(g.qubits) == 1:
-            out.append(replace(g, qubits=(pos[g.qubits[0]],)))
+            out.append(g)
             continue
-        lo, hi = sorted(pos[q] for q in g.qubits)
-        for p in range(hi - 1, lo, -1):
-            emit_swap(p)
+        lo, hi = sorted(g.qubits)
+        swaps = [Gate("SWAP", (p, p + 1)) for p in range(hi - 1, lo, -1)]
+        out.extend(swaps)
         out.append(replace(g, qubits=(lo, lo + 1)))
-        for p in range(lo + 1, hi):
-            emit_swap(p)
+        out.extend(reversed(swaps))
     return Circuit(c.m, out)
 
 
 def encode_circuit(x, cfg: FeatureMapConfig) -> Circuit:
-    """Build, layer-schedule and route the encoding circuit for one data row."""
-    return route_linear(schedule_circuit(build_circuit(x, cfg), cfg.d))
+    """Build and route the encoding circuit for one data row, in build order."""
+    return route_linear(build_circuit(x, cfg))
 
 
 def circuit_to_text(c: Circuit) -> str:

@@ -123,8 +123,8 @@ def cmd_preprocess(cfg: ExperimentConfig, out_csv: str) -> dict:
     """Balanced down-selection plus a [0, 2] rescale over the selected rows."""
     raw = _load_raw(cfg)
     selected = _select(raw, cfg.m, cfg.n_per_class, cfg.seed)
-    scaled, _, params = learn.rescale(selected.features, selected.features)
-    out = learn.Dataset(scaled, selected.labels, rescale_params=params)
+    scaled, _, _ = learn.rescale(selected.features, selected.features)
+    out = learn.Dataset(scaled, selected.labels)
     learn.save_dataset_csv(out_csv, out)
     counts = {int(c): int(np.sum(out.labels == c)) for c in (1, -1)}
     return {"rows": out.n, "features": out.m, "per_class": counts, "path": str(out_csv)}
@@ -302,22 +302,28 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _known_keys(raw, cls, what: str) -> dict:
+    """Return ``raw`` if it is a JSON object whose keys all name fields of ``cls``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return raw
+
+
 def _load_config(path: str | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    synth = raw.pop("synthetic", None)
+        raw = _known_keys(json.load(fh), ExperimentConfig, "config")
+    synth = raw.get("synthetic")
     if synth is not None:
-        raw["synthetic"] = SyntheticSpec(**synth)
+        raw["synthetic"] = SyntheticSpec(**_known_keys(synth, SyntheticSpec, "synthetic"))
     strategy = raw.get("strategy")
     if strategy in _STRATEGY_FLAGS:
         raw["strategy"] = _STRATEGY_FLAGS[strategy]
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         setattr(cfg, key, value)
     return cfg
@@ -419,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except (learn.ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

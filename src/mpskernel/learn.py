@@ -29,7 +29,6 @@ class ConvergenceError(RuntimeError):
 class Dataset:
     features: np.ndarray  # (N, m) float64
     labels: np.ndarray  # (N,) values in {+1, -1}
-    rescale_params: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -340,6 +339,10 @@ def load_dataset_csv(path) -> Dataset:
         for record in reader:
             if not record:
                 continue
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(record)} fields, header has {len(header)}"
+                )
             raw = record[label_pos].strip()
             if raw in _TEXT_LABELS:
                 labels.append(_TEXT_LABELS[raw])

@@ -1,4 +1,4 @@
-"""Tests for the encoding circuit builder, layer scheduling and SWAP routing."""
+"""Tests for the encoding circuit builder, SWAP routing and build-order encoding."""
 
 import math
 
@@ -15,11 +15,9 @@ from mpskernel.ansatz import (
     encode_circuit,
     gate_matrix,
     interaction_graph,
-    layered_gates,
     route_linear,
-    schedule_circuit,
-    schedule_layers,
 )
+from mpskernel.mps import simulate_circuit
 
 from oracles import feature_map_state, statevector
 
@@ -105,44 +103,8 @@ class TestBuildCircuit:
         with pytest.raises(ValueError, match="rescale"):
             build_circuit(np.array([0.5, 2.5]), FeatureMapConfig(2, 1, 1, 0.5))
 
-    def test_drop_zero_rxx_flag(self):
-        cfg = FeatureMapConfig(3, 1, 1, 1.0)
-        x = np.array([1.0, 0.5, 1.0])
-        full = build_circuit(x, cfg)
-        pruned = build_circuit(x, cfg, drop_zero_rxx=True)
-        assert len(full.gates) - len(pruned.gates) == 2
 
-
-class TestScheduleLayers:
-    def test_chain_needs_two_layers(self):
-        gates = [Gate("RXX", e, 0.1) for e in interaction_graph(5, 1)]
-        layers = layered_gates(Circuit(5, gates), 1)
-        assert len(layers) == 2
-
-    def test_distance_two_block_within_four_layers(self):
-        gates = [Gate("RXX", e, 0.1) for e in interaction_graph(5, 2)]
-        layers = layered_gates(Circuit(5, gates), 2)
-        assert len(layers) <= 4
-        assert sum(len(layer) for layer in layers) == 7
-        for layer in layers:
-            qubits = [q for g in layer for q in g.qubits]
-            assert len(qubits) == len(set(qubits))
-
-    def test_bound_holds_broadly(self):
-        for m in (4, 9, 16, 33):
-            for d in range(1, min(m, 9)):
-                gates = [Gate("RXX", e, 0.1) for e in interaction_graph(m, d)]
-                assert len(layered_gates(Circuit(m, gates), d)) <= 2 * d
-
-    def test_reorder_preserves_unitary(self):
-        rng = np.random.default_rng(1)
-        gates = [Gate("RXX", e, float(a)) for e, a in
-                 zip(interaction_graph(5, 2), rng.uniform(-2, 2, 7))]
-        block = Circuit(5, gates)
-        scheduled = schedule_layers(block, 2)
-        assert sorted(map(repr, scheduled.gates)) == sorted(map(repr, block.gates))
-        assert np.allclose(statevector(scheduled), statevector(block), atol=1e-10)
-
+class TestRxxCommutation:
     def test_random_permutations_agree(self):
         rng = np.random.default_rng(2)
         gates = [Gate("RXX", e, float(a)) for e, a in
@@ -152,10 +114,6 @@ class TestScheduleLayers:
             perm = [gates[i] for i in rng.permutation(len(gates))]
             assert np.allclose(statevector(Circuit(6, perm)), reference, atol=1e-10)
 
-    def test_non_rxx_gate_rejected(self):
-        with pytest.raises(ValueError, match="RXX"):
-            schedule_layers(Circuit(2, [Gate("H", (0,))]), 1)
-
 
 class TestRouteLinear:
     def test_adjacent_gate_unchanged(self):
@@ -164,20 +122,20 @@ class TestRouteLinear:
         assert routed.gates == circuit.gates
 
     def test_distance_three_adds_four_swaps(self):
-        circuit = Circuit(4, [Gate("RXX", (0, 3), 0.4)])
-        routed = route_linear(circuit)
-        swaps = [g for g in routed.gates if g.kind == "SWAP"]
-        assert len(swaps) == 2 * (3 - 1)
-        for g in routed.gates:
-            if len(g.qubits) == 2:
-                assert abs(g.qubits[0] - g.qubits[1]) == 1
+        for qubits in ((0, 3), (3, 0)):
+            routed = route_linear(Circuit(4, [Gate("RXX", qubits, 0.4)]))
+            swaps = [g for g in routed.gates if g.kind == "SWAP"]
+            assert len(swaps) == 2 * (3 - 1)
+            for g in routed.gates:
+                if len(g.qubits) == 2:
+                    assert abs(g.qubits[0] - g.qubits[1]) == 1
 
     def test_full_circuit_statevector_preserved(self):
         rng = np.random.default_rng(3)
         cfg = FeatureMapConfig(6, 2, 3, 0.8)
         x = rng.uniform(0.0, 2.0, 6)
         plain = build_circuit(x, cfg)
-        routed = route_linear(schedule_circuit(plain, cfg.d))
+        routed = route_linear(plain)
         assert np.allclose(statevector(routed), statevector(plain), atol=1e-10)
 
     def test_swap_overhead_formula(self):
@@ -194,6 +152,35 @@ class TestRouteLinear:
         routed = route_linear(circuit)
         rz = [g for g in routed.gates if g.kind == "RZ"]
         assert rz == [Gate("RZ", (2,), 0.5)]
+
+
+class TestEncodeCircuit:
+    def test_gates_keep_build_order(self):
+        x = np.random.default_rng(5).uniform(0.0, 2.0, 7)
+        chain = FeatureMapConfig(7, 2, 1, 0.6)
+        assert encode_circuit(x, chain).gates == build_circuit(x, chain).gates
+        band = FeatureMapConfig(7, 2, 3, 0.6)
+        routed = [(g.kind, g.angle) for g in encode_circuit(x, band).gates if g.kind != "SWAP"]
+        built = [(g.kind, g.angle) for g in build_circuit(x, band).gates]
+        assert routed == built
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_chain_sweeps_center_once_per_repetition(self, monkeypatch, r):
+        # in build order each RXX acts where the previous one left the center,
+        # so only the walk back to site 0 before a later repetition costs QRs
+        m = 20
+        qr = np.linalg.qr
+        calls = []
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        x = np.random.default_rng(6).uniform(0.0, 2.0, m)
+        circuit = encode_circuit(x, FeatureMapConfig(m, r, 1, 0.7))
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        simulate_circuit(circuit)
+        assert len(calls) <= (r - 1) * (m - 1)
 
 
 class TestGateMatrix:

@@ -199,6 +199,14 @@ class TestMainEntry:
             ["experiment", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]
         )
         assert code == EXIT_IO
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        for out_dir in (a_file, a_file / "sub"):
+            code = main(
+                ["gram", "--synthetic", "--features", "3", "--per-class", "3",
+                 "--out-dir", str(out_dir)]
+            )
+            assert code == EXIT_IO
 
     def test_bad_value_gives_validation_exit(self, tmp_path, capsys):
         # d out of range surfaces once the feature map is built
@@ -213,6 +221,17 @@ class TestMainEntry:
             ]
         )
         assert code == EXIT_VALIDATION
+        short_row = tmp_path / "short.csv"
+        short_row.write_text("a,class\n1,1\n2\n")
+        code = main(["gram", "--data", str(short_row), "--features", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "line 3" in capsys.readouterr().err
+        for raw in ([1, 2], {"synthetic": {"n_per_klass": 4}}):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(raw))
+            code = main(["gram", "--config", str(config), "--out-dir", str(tmp_path)])
+            assert code == EXIT_VALIDATION
 
     def test_benchmark_entry(self, tmp_path, capsys):
         code = main(
