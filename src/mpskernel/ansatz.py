@@ -159,37 +159,3 @@ def route_linear(c: Circuit) -> Circuit:
 def encode_circuit(x, cfg: FeatureMapConfig) -> Circuit:
     """Build and route the encoding circuit for one data row, in build order."""
     return route_linear(build_circuit(x, cfg))
-
-
-def circuit_to_text(c: Circuit) -> str:
-    """Line-oriented text form: ``H q``, ``RZ q angle``, ``RXX q1 q2 angle``, ``SWAP q1 q2``."""
-    lines = []
-    for g in c.gates:
-        parts = [g.kind, *(str(q) for q in g.qubits)]
-        if g.angle is not None:
-            parts.append(repr(g.angle))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def circuit_from_text(text: str, m: int | None = None) -> Circuit:
-    """Parse :func:`circuit_to_text` output; ``m`` is inferred when omitted."""
-    gates = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind not in GATE_KINDS:
-            raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
-        nq = 2 if kind in _TWO_QUBIT else 1
-        has_angle = kind in _PARAMETRIC
-        if len(fields) != 1 + nq + (1 if has_angle else 0):
-            raise ValueError(f"line {ln}: malformed gate line {line!r}")
-        qubits = tuple(int(q) for q in fields[1 : 1 + nq])
-        angle = float(fields[1 + nq]) if has_angle else None
-        gates.append(Gate(kind, qubits, angle))
-    if m is None:
-        m = 1 + max((q for g in gates for q in g.qubits), default=0)
-    return Circuit(m, gates)

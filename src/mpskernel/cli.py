@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+import types
+import typing
+from dataclasses import dataclass, asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -302,13 +305,38 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: a ``bool`` is no number, an
+    ``int`` is a ``float``, floats are finite and a dataclass is an object."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, hint)
+
+
 def _known_keys(raw, cls, what: str) -> dict:
-    """Return ``raw`` if it is a JSON object whose keys all name fields of ``cls``."""
+    """Return ``raw`` if it is a JSON object whose keys all name fields of
+    ``cls`` and whose values fit those fields' types."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - set(cls.__dataclass_fields__)
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            expected = cls.__dataclass_fields__[key].type
+            raise ValueError(f"{what} key {key!r} must be {expected}, got {value!r}")
     return raw
 
 

@@ -1,13 +1,14 @@
-"""Gram matrices of squared state overlaps, filled tile by tile.
+"""Gram matrices of squared state overlaps.
 
 Each data row is encoded and simulated once as an MPS; kernel entries are
 squared moduli of pairwise inner products. A :class:`TileSchedule` is the
 plan for spreading that work over ``k`` workers with one of two strategies:
 ``no_messaging`` (workers independently simulate whatever their tiles need)
 and ``round_robin`` (every state is simulated exactly once and half-blocks
-of states circulate between workers). :func:`run_distributed` executes a
-plan serially on the calling thread, so ``k`` shapes the tiles but never the
-result.
+of states circulate between workers). Plans are built and validated for
+``k`` workers; :func:`run_distributed` executes one on the calling thread by
+simulating each row once and filling the Gram in one pass, so ``k`` shapes
+the plan but never the result.
 """
 
 from __future__ import annotations
@@ -139,54 +140,28 @@ def compute_gram(
     kind: str,
     report: RunReport | None = None,
 ) -> GramMatrix:
-    """Serial Gram computation.
+    """The one pair loop: squared overlaps of bra ``i`` with ket ``j``.
 
     ``train`` requires ``bras is kets``; only the strict upper triangle is
     computed and mirrored, and the diagonal is fixed to 1 since simulated
-    states are normalized.
+    states are normalized. ``test`` computes every entry.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if kind == "train" and (
-        len(bras) != len(kets) or any(a is not b for a, b in zip(bras, kets))
-    ):
+    train = kind == "train"
+    if train and (len(bras) != len(kets) or any(a is not b for a, b in zip(bras, kets))):
         raise ValueError("train kind requires bras and kets to be the same states")
     if bras and kets and bras[0].m != kets[0].m:
         raise ValueError("qubit count mismatch between state lists")
-    return _fill_tiles(bras, kets, kind, [Tile(0, 0, len(bras), 0, len(kets))], report)
-
-
-def _fill_tiles(
-    bras: list[MpsState],
-    kets: list[MpsState],
-    kind: str,
-    tiles: list[Tile],
-    report: RunReport | None,
-) -> GramMatrix:
-    """Fill a Gram matrix from ``tiles``, in order, on the calling thread.
-
-    Every entry starts as NaN (the ``train`` diagonal as 1), so an entry no
-    tile covers is caught at the end. A ``train`` tile whose ranges coincide
-    computes its strict upper triangle; every ``train`` entry is mirrored.
-    """
-    train = kind == "train"
-    K = np.full((len(bras), len(kets)), np.nan)
-    if train:
-        np.fill_diagonal(K, 1.0)
+    K = np.eye(len(bras)) if train else np.empty((len(bras), len(kets)))
     t0 = time.perf_counter()
-    count = 0
-    for tile in tiles:
-        diag = train and (tile.row_start, tile.row_stop) == (tile.col_start, tile.col_stop)
-        for i in range(tile.row_start, tile.row_stop):
-            for j in range(i + 1 if diag else tile.col_start, tile.col_stop):
-                K[i, j] = abs(inner_product(bras[i], kets[j])) ** 2
-                if train:
-                    K[j, i] = K[i, j]
-                count += 1
-    if np.isnan(K).any():
-        raise RuntimeError("schedule execution left Gram entries uncomputed")
+    for i in range(len(bras)):
+        for j in range(i + 1 if train else 0, len(kets)):
+            K[i, j] = abs(inner_product(bras[i], kets[j])) ** 2
+            if train:
+                K[j, i] = K[i, j]
     if report is not None:
-        report.n_inner_products += count
+        report.n_inner_products += len(bras) * (len(bras) - 1) // 2 if train else K.size
         report._add("inner_products", time.perf_counter() - t0)
     return GramMatrix(K, kind)
 
@@ -381,41 +356,29 @@ def run_distributed(
     budget: float = DEFAULT_TRUNC_BUDGET,
     report: RunReport | None = None,
 ) -> GramMatrix:
-    """Execute a schedule serially on the calling thread.
+    """Compute the Gram that ``schedule`` plans, on the calling thread.
 
-    Every state that some worker's plan simulates is simulated once, then
-    the tiles are filled in step order; transfers need no copies in one
-    address space. The result is bit-identical to the serial
-    :func:`compute_gram` path for any worker count and either strategy, and
-    an error raised by a simulation or an inner product propagates as is.
+    The plan contributes only its state counts and kind: each ket row is
+    simulated once, each bra row once for ``test`` (``train`` reuses the
+    kets), and :func:`compute_gram` fills the Gram in one pass. The result is
+    therefore bit-identical for any worker count and either strategy, and an
+    error raised by a simulation or an inner product propagates as is.
     """
     X_bras = _check_rows(X_bras, cfg.m)
     X_kets = _check_rows(X_kets, cfg.m)
     if (X_bras.shape[0], X_kets.shape[0]) != (schedule.n_bras, schedule.n_kets):
         raise ValueError("schedule was built for different state counts")
-    if schedule.kind == "train" and not np.array_equal(X_bras, X_kets):
+    train = schedule.kind == "train"
+    if train and not np.array_equal(X_bras, X_kets):
         raise ValueError("train kind requires identical bra and ket rows")
 
-    rows = {"bra": X_bras, "ket": X_kets}
-    states: dict[str, list[MpsState | None]] = {
-        "bra": [None] * schedule.n_bras,
-        "ket": [None] * schedule.n_kets,
-    }
     t0 = time.perf_counter()
-    count = 0
-    for ranges in schedule.initial_states.values():
-        for which, a, b in ranges:
-            for i in range(a, b):
-                if states[which][i] is None:
-                    circuit = encode_circuit(rows[which][i], cfg)
-                    states[which][i] = simulate_circuit(circuit, budget=budget)
-                    count += 1
+    kets = simulate_dataset(X_kets, cfg, budget)
+    bras = kets if train else simulate_dataset(X_bras, cfg, budget)
     if report is not None:
-        report.n_simulations += count
+        report.n_simulations += len(kets) + (0 if train else len(bras))
         report._add("simulation", time.perf_counter() - t0)
-    bras = states["ket" if schedule.kind == "train" else "bra"]
-    tiles = [tile for step in schedule.steps for tile in step.tiles]
-    return _fill_tiles(bras, states["ket"], schedule.kind, tiles, report)
+    return compute_gram(bras, kets, schedule.kind, report)
 
 
 def save_gram(gram: GramMatrix, csv_path, sidecar: dict | None = None) -> None:

@@ -10,8 +10,6 @@ from mpskernel.ansatz import (
     FeatureMapConfig,
     Gate,
     build_circuit,
-    circuit_from_text,
-    circuit_to_text,
     encode_circuit,
     gate_matrix,
     interaction_graph,
@@ -196,31 +194,6 @@ class TestGateMatrix:
 
     def test_rxx_identity_at_zero(self):
         assert np.allclose(gate_matrix(Gate("RXX", (0, 1), 0.0)), np.eye(4))
-
-
-class TestCircuitText:
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        cfg = FeatureMapConfig(5, 2, 2, 0.9)
-        circuit = encode_circuit(rng.uniform(0, 2, 5), cfg)
-        parsed = circuit_from_text(circuit_to_text(circuit), m=5)
-        assert parsed.gates == circuit.gates
-
-    def test_golden_format(self):
-        circuit = Circuit(
-            3,
-            [
-                Gate("H", (0,)),
-                Gate("RZ", (1,), 0.5),
-                Gate("RXX", (0, 1), -0.25),
-                Gate("SWAP", (1, 2)),
-            ],
-        )
-        assert circuit_to_text(circuit) == "H 0\nRZ 1 0.5\nRXX 0 1 -0.25\nSWAP 1 2\n"
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            circuit_from_text("RZ 0\n")
 
 
 class TestGateValidation:

@@ -227,7 +227,15 @@ class TestMainEntry:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
-        for raw in ([1, 2], {"synthetic": {"n_per_klass": 4}}):
+        small = {"synthetic": {"n_per_class": 3}, "m": 3}
+        for raw in (
+            [1, 2],
+            {"synthetic": {"n_per_klass": 4}},
+            {**small, "workers": "2"},
+            {**small, "synthetic": {"n_per_class": "3"}},
+            {**small, "budget": float("inf")},
+            {**small, "workers": True},
+        ):
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(raw))
             code = main(["gram", "--config", str(config), "--out-dir", str(tmp_path)])

@@ -172,13 +172,12 @@ class TestRunDistributed:
     def test_strategies_agree_on_test_kind(self, rows):
         rng = np.random.default_rng(3)
         test_rows = rng.uniform(0.0, 2.0, (3, 6))
-        grams = []
+        serial = compute_gram(simulate_dataset(test_rows, CFG), simulate_dataset(rows, CFG), "test")
         for strategy in ("round_robin", "no_messaging"):
             for k in (1, 2, 4):
                 sched = make_schedule(3, 8, k, strategy, "test")
-                grams.append(run_distributed(test_rows, rows, CFG, sched).entries)
-        for other in grams[1:]:
-            assert np.abs(grams[0] - other).max() < 1e-12
+                gram = run_distributed(test_rows, rows, CFG, sched)
+                assert np.array_equal(gram.entries, serial.entries), (strategy, k)
 
     def test_round_robin_simulation_count(self, rows):
         report = RunReport()
