@@ -41,6 +41,8 @@ class FeatureMapConfig:
             raise ValueError(f"d must satisfy 1 <= d <= m-1, got d={self.d} for m={self.m}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if not math.isfinite(self.gamma * self.gamma):
+            raise ValueError("gamma and its square must be finite")
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,11 @@ class ExperimentConfig:
         return FeatureMapConfig(self.m, self.r, self.d, self.gamma)
 
     def grid(self) -> list[float]:
-        if self.c_grid:
-            return [float(c) for c in self.c_grid]
-        return [float(c) for c in np.geomspace(0.01, 4.0, 8)]
+        if self.c_grid is None:
+            return [float(c) for c in np.geomspace(0.01, 4.0, 8)]
+        if not self.c_grid or not all(c > 0 for c in self.c_grid):
+            raise ValueError(f"c_grid must be a non-empty list of positive Cs, got {self.c_grid}")
+        return [float(c) for c in self.c_grid]
 
 
 def generate_blobs(spec: SyntheticSpec, m: int, seed: int) -> learn.Dataset:
@@ -175,6 +177,7 @@ def _sidecar(cfg: ExperimentConfig, n: int, report: kernel.RunReport) -> dict:
 
 def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full pipeline: split, rescale, simulate, Gram, C-grid SVM, metrics."""
+    grid = cfg.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = _select(_load_raw(cfg), cfg.m, cfg.n_per_class, cfg.seed)
@@ -204,7 +207,6 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     kernel.save_gram(gram_train, out / "gram_train.csv", sidecar)
     kernel.save_gram(gram_test, out / "gram_test.csv", sidecar)
 
-    grid = cfg.grid()
     quantum_rows, models = _metric_rows(gram_train, gram_test, y_train, y_test, grid)
     best = _best(quantum_rows)
     learn.save_model_json(out / "model_best.json", models[best])

@@ -323,6 +323,20 @@ def evaluate(scores, labels, threshold: float = 0.0) -> Metrics:
     )
 
 
+def _parse_label(raw: str, path, line: int) -> int:
+    """A class label: ``illicit``, ``licit`` or a number equal to +1 or -1."""
+    raw = raw.strip()
+    if raw in _TEXT_LABELS:
+        return _TEXT_LABELS[raw]
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value not in (1.0, -1.0):
+        raise ValueError(f"{path}: line {line}: class label {raw!r} is not illicit, licit, 1 or -1")
+    return int(value)
+
+
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset CSV: header row, a ``class`` label column, numeric features."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -343,11 +357,7 @@ def load_dataset_csv(path) -> Dataset:
                 raise ValueError(
                     f"{path}: line {reader.line_num}: {len(record)} fields, header has {len(header)}"
                 )
-            raw = record[label_pos].strip()
-            if raw in _TEXT_LABELS:
-                labels.append(_TEXT_LABELS[raw])
-            else:
-                labels.append(int(float(raw)))
+            labels.append(_parse_label(record[label_pos], path, reader.line_num))
             rows.append([float(v) for i, v in enumerate(record) if i != label_pos])
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels))
 

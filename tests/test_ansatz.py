@@ -56,6 +56,9 @@ class TestFeatureMapConfig:
             FeatureMapConfig(4, 1, 4, 0.5)
         with pytest.raises(ValueError):
             FeatureMapConfig(4, 1, 1, 0.0)
+        for gamma in (math.inf, 1e308):
+            with pytest.raises(ValueError):
+                FeatureMapConfig(4, 1, 1, gamma)
 
 
 class TestBuildCircuit:

@@ -227,6 +227,13 @@ class TestMainEntry:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
+        for label in ("inf", "1.9"):
+            bad_label = tmp_path / "label.csv"
+            bad_label.write_text(f"a,b,class\n1,2,1\n2,3,{label}\n")
+            code = main(["gram", "--data", str(bad_label), "--features", "2",
+                         "--out-dir", str(tmp_path)])
+            assert code == EXIT_VALIDATION, label
+            assert "line 3" in capsys.readouterr().err, label
         small = {"synthetic": {"n_per_class": 3}, "m": 3}
         for raw in (
             [1, 2],
@@ -235,11 +242,17 @@ class TestMainEntry:
             {**small, "synthetic": {"n_per_class": "3"}},
             {**small, "budget": float("inf")},
             {**small, "workers": True},
+            {**small, "gamma": 1e308},
         ):
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(raw))
             code = main(["gram", "--config", str(config), "--out-dir", str(tmp_path)])
             assert code == EXIT_VALIDATION
+        config.write_text(json.dumps({**small, "c_grid": []}))
+        code = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        with pytest.raises(ValueError, match="c_grid"):
+            ExperimentConfig(c_grid=[1.0, 0.0]).grid()
 
     def test_benchmark_entry(self, tmp_path, capsys):
         code = main(
