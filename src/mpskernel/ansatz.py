@@ -1,10 +1,10 @@
 """Data-encoding circuits on a linear qubit chain.
 
-Builds the feature-map circuit for a rescaled data row and inserts SWAP
-gates so that every two-qubit gate acts on adjacent qubits. Gates keep the
-order they were built in: the RXX gates of one distance run left to right,
-so an MPS simulation moves its orthogonality center in one sweep along the
-chain per distance and repetition.
+Builds the feature-map circuit for a rescaled data row. The MPS simulator
+takes the built circuit as is and does not route it. Routing is an export:
+:func:`route_linear` and :func:`encode_circuit` insert SWAP gates, in build
+order, so that every two-qubit gate acts on adjacent qubits, as nearest-
+neighbour hardware needs.
 """
 
 from __future__ import annotations
@@ -62,8 +62,12 @@ class Gate:
         if self.kind not in _PARAMETRIC and self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if len(set(self.qubits)) != arity:
+            raise ValueError(f"{self.kind} needs distinct qubits, got {self.qubits}")
         if self.angle is not None:
             object.__setattr__(self, "angle", float(self.angle))
+            if not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
 
 
 @dataclass

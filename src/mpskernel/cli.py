@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel, learn, mps
-from .ansatz import FeatureMapConfig, encode_circuit
+from .ansatz import FeatureMapConfig, build_circuit
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -247,8 +247,9 @@ def cmd_gram(cfg: ExperimentConfig, out_dir: str) -> dict:
 def cmd_benchmark(cfg: ExperimentConfig, samples: int, out_dir: str) -> dict:
     """Wall times for per-circuit simulation and pairwise inner products.
 
-    Also records the peak bond dimension per sample and the state memory in
-    bytes after every applied gate.
+    Each sample's circuit is simulated as built, the way the Grams simulate
+    it. Also records the peak bond dimension per sample and the state memory
+    in bytes after every built gate.
     """
     if samples < 2:
         raise ValueError("benchmark needs at least 2 samples")
@@ -267,7 +268,7 @@ def cmd_benchmark(cfg: ExperimentConfig, samples: int, out_dir: str) -> dict:
     max_chis = []
     memory_series = []
     for row in rows:
-        circuit = encode_circuit(row, fmap)
+        circuit = build_circuit(row, fmap)
         log: list[int] = []
         t0 = time.perf_counter()
         state = mps.simulate_circuit(circuit, budget=cfg.budget, memory_log=log)
@@ -309,7 +310,8 @@ def _write_json(path, payload) -> None:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field type: a ``bool`` is no number, an
-    ``int`` is a ``float``, floats are finite and a dataclass is an object."""
+    ``int`` within the float range is a ``float``, floats are finite and a
+    dataclass is an object."""
     if isinstance(hint, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
     if hint is type(None):
@@ -322,7 +324,9 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if isinstance(value, int):
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, hint)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import FeatureMapConfig, encode_circuit
+from .ansatz import FeatureMapConfig, build_circuit
 from .mps import DEFAULT_TRUNC_BUDGET, MpsState, inner_product, simulate_circuit
 
 STRATEGIES = ("no_messaging", "round_robin")
@@ -66,11 +66,15 @@ class RunReport:
 def simulate_dataset(
     X, cfg: FeatureMapConfig, budget: float = DEFAULT_TRUNC_BUDGET
 ) -> list[MpsState]:
-    """Encode and simulate one MPS per data row."""
+    """Build and simulate one MPS per data row.
+
+    Each row's circuit is simulated as built: long-range RXX gates are
+    applied as MPO fan-outs, with no routing SWAPs.
+    """
     X = _check_rows(X, cfg.m)
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    return [simulate_circuit(encode_circuit(row, cfg), budget=budget) for row in X]
+    return [simulate_circuit(build_circuit(row, cfg), budget=budget) for row in X]
 
 
 def _check_rows(X, m: int) -> np.ndarray:

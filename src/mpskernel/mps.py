@@ -2,13 +2,18 @@
 
 A state over ``m`` qubits is a chain of rank-3 site tensors with bonds
 (left virtual, physical 2, right virtual); the boundary virtual bonds have
-dimension 1. Two-qubit gates grow the shared virtual bond and are truncated
-back by SVD within a per-gate error budget, with the discarded weight
-accumulated on the state.
+dimension 1. An adjacent two-qubit gate grows the shared virtual bond and is
+truncated back by one SVD within a per-gate error budget. A group of RXX
+gates that share a left qubit, at any distance, is applied without SWAPs as
+one fan-out: an exact MPO of bond dimension 2, compressed by one truncating
+SVD per bond it spans. Every truncating split draws on the same budget, and
+the discarded weight is accumulated on the state.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -19,13 +24,17 @@ from .ansatz import Circuit, Gate, gate_matrix
 from .tensor import svd_truncated
 
 # Per-gate truncation budget: the squared sum of singular values a single
-# gate application may discard. The default is tight enough that kernel
+# truncating split may discard. The default is tight enough that kernel
 # entries track an exact simulation to better than 1e-10; loosen it (1e-16 is
 # a common choice) to trade a little accuracy for smaller bond dimensions.
 DEFAULT_TRUNC_BUDGET = 1e-24
 _UNITARY_ATOL = 1e-10
 _MAX_DENSE_QUBITS = 20
 _MAGIC = b"MPS1"
+# MPO tensor (1, out, in, s) of the projectors (1 + s X) / 2 onto X = s, s = +1, -1
+_X_PROJECTORS = 0.5 * np.array(
+    [[[1, 1], [1, -1]], [[1, -1], [1, 1]]], dtype=np.complex128
+)[None]
 
 
 @dataclass
@@ -35,7 +44,8 @@ class MpsState:
     ``ortho_center`` names the site whose flanks are left/right isometries,
     or None when the gauge is unknown. ``accumulated_discard`` is the running
     sum of squared singular values removed by gate truncations and never
-    decreases.
+    decreases. ``gate_count_2q`` counts truncating splits: one per adjacent
+    two-qubit gate and one per bond a fan-out spans.
     """
 
     sites: list[np.ndarray]
@@ -152,6 +162,10 @@ def apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     if matrix.shape != (2, 2):
         raise ValueError("single-qubit gate must be a 2x2 matrix")
     _check_unitary(matrix)
+    return _apply_one_qubit(state, q, matrix)
+
+
+def _apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     t0 = time.perf_counter()
     # unitaries preserve the isometry flanks, so the center does not move
     state.sites[q] = np.tensordot(matrix, state.sites[q], axes=(1, 1)).transpose(1, 0, 2)
@@ -171,13 +185,16 @@ def apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str = "
     """
     if not 0 <= q < state.m - 1:
         raise ValueError(f"site pair ({q}, {q + 1}) out of range")
-    if absorb not in ("left", "right"):
-        raise ValueError("absorb must be 'left' or 'right'")
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (4, 4):
         raise ValueError("two-qubit gate must be a 4x4 matrix")
     _check_unitary(matrix)
+    return _apply_two_qubit(state, q, matrix, absorb)
 
+
+def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str) -> MpsState:
+    if absorb not in ("left", "right"):
+        raise ValueError("absorb must be 'left' or 'right'")
     canonicalize(state, q)
     t0 = time.perf_counter()
     theta = np.tensordot(state.sites[q], state.sites[q + 1], axes=(2, 0))  # l p0 p1 r
@@ -185,24 +202,86 @@ def apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str = "
     theta = np.tensordot(g, theta, axes=((2, 3), (1, 2)))  # p0' p1' l r
     theta = theta.transpose(2, 0, 1, 3)
 
-    res = svd_truncated(theta, 2, state.trunc_budget_per_gate)
+    left, s, right = _truncate(state, theta, 2)
+    if absorb == "left":
+        state.sites[q] = left * s
+        state.sites[q + 1] = right
+        state.ortho_center = q
+    else:
+        state.sites[q] = left
+        state.sites[q + 1] = s[:, None, None] * right
+        state.ortho_center = q + 1
+    state._tick("two_qubit", t0)
+    return state
+
+
+def _truncate(state: MpsState, t: np.ndarray, left_axes: int):
+    """One truncating split of ``t`` within the per-gate budget.
+
+    Returns ``(left, s, right)`` with the kept spectrum ``s`` rescaled to the
+    norm before truncation; the discarded weight, the kept bond and the
+    truncation itself are recorded on the state.
+    """
+    res = svd_truncated(t, left_axes, state.trunc_budget_per_gate)
     s = res.singular_values
     if res.discarded_weight > 0.0:
         kept = float(s @ s)
         s = s * np.sqrt((kept + res.discarded_weight) / kept)
-    if absorb == "left":
-        state.sites[q] = res.left * s
-        state.sites[q + 1] = res.right
-        state.ortho_center = q
-    else:
-        state.sites[q] = res.left
-        state.sites[q + 1] = s[:, None, None] * res.right
-        state.ortho_center = q + 1
     state.accumulated_discard += res.discarded_weight
     state.peak_chi = max(state.peak_chi, s.size)
     state.gate_count_2q += 1
+    return res.left, s, res.right
+
+
+def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
+    """Apply RXX gates that share their left qubit i, at any distance.
+
+    Every gate is diagonal in X on qubit i, so their product is the exact
+    bond-2 MPO sum_s P_s(i) (x) prod_j exp(-i s angles[j] X_j / 2), where P_s
+    projects qubit i onto X = s and angles[j] sums the angles of the gates on
+    (i, j). It is contracted into sites i..L, L the farthest partner, with
+    identities on the sites between that have none. A QR sweep from i moves
+    the center onto L, and a truncating SVD sweep back splits every bond from
+    L down to i + 1, leaving the center at i.
+    """
+    i = _left_qubit(step[0])
+    angles: dict[int, float] = {}
+    for gate in step:
+        j = max(gate.qubits)
+        angles[j] = angles.get(j, 0.0) + gate.angle
+    last = max(angles)
+    if last >= state.m:
+        raise ValueError(f"qubit {last} out of range for {state.m} sites")
+    canonicalize(state, i)
+    t0 = time.perf_counter()
+    for k in range(i, last + 1):
+        w = _X_PROJECTORS if k == i else _x_rotations(angles.get(k, 0.0))
+        if k == last:
+            w = w.sum(axis=3, keepdims=True)  # close the bond; w is diagonal in it
+        site = state.sites[k]
+        chi_l, _, chi_r = site.shape
+        t = np.tensordot(w, site, axes=(2, 1))  # a p' b l r
+        state.sites[k] = t.transpose(0, 3, 1, 2, 4).reshape(
+            w.shape[0] * chi_l, 2, w.shape[3] * chi_r
+        )
+    _left_isometrize(state, i, last)
+    for k in range(last, i, -1):
+        left, s, right = _truncate(state, state.sites[k], 1)
+        state.sites[k] = right
+        state.sites[k - 1] = np.tensordot(state.sites[k - 1], left * s, axes=(2, 0))
+    state.ortho_center = i
     state._tick("two_qubit", t0)
     return state
+
+
+def _x_rotations(angle: float) -> np.ndarray:
+    """MPO tensor (bond s, out, in, bond s) holding exp(-i s angle X / 2) for s = +1, -1."""
+    c = math.cos(0.5 * angle)
+    s = math.sin(0.5 * angle)
+    w = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    for n, sign in enumerate((1.0, -1.0)):
+        w[n, :, :, n] = [[c, -1j * sign * s], [-1j * sign * s, c]]
+    return w
 
 
 def apply_gate(state: MpsState, gate: Gate, absorb: str = "right") -> MpsState:
@@ -212,38 +291,71 @@ def apply_gate(state: MpsState, gate: Gate, absorb: str = "right") -> MpsState:
             raise ValueError(f"qubit {q} out of range for {state.m} sites")
     u = gate_matrix(gate)
     if len(gate.qubits) == 1:
-        return apply_one_qubit(state, gate.qubits[0], u)
+        return _apply_one_qubit(state, gate.qubits[0], u)
     a, b = gate.qubits
     if abs(a - b) != 1:
-        raise ValueError(f"two-qubit gate on ({a}, {b}) is not adjacent; route the circuit first")
+        raise ValueError(
+            f"two-qubit gate on ({a}, {b}) is not adjacent; route the circuit or use run_circuit"
+        )
     if a > b:
         u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return apply_two_qubit(state, min(a, b), u, absorb=absorb)
+    return _apply_two_qubit(state, min(a, b), u, absorb)
+
+
+def _steps(gates: list[Gate]) -> list[list[Gate]]:
+    """Gates grouped into application steps, in circuit order.
+
+    Each maximal run of consecutive RXX gates is stable-sorted by left qubit
+    (RXX gates commute) and split into one step per left qubit; every other
+    gate is a step of its own.
+    """
+    steps: list[list[Gate]] = []
+    for is_rxx, run in itertools.groupby(gates, key=lambda g: g.kind == "RXX"):
+        if is_rxx:
+            run = sorted(run, key=_left_qubit)
+            steps.extend(list(group) for _, group in itertools.groupby(run, key=_left_qubit))
+        else:
+            steps.extend([gate] for gate in run)
+    return steps
+
+
+def _left_qubit(gate: Gate) -> int:
+    return min(gate.qubits)
 
 
 def run_circuit(state: MpsState, circuit: Circuit, memory_log: list[int] | None = None) -> MpsState:
-    """Apply every gate of ``circuit`` in order.
+    """Apply every gate of ``circuit``; RXX gates need not be adjacent.
 
-    Singular values are absorbed toward the next two-qubit gate to keep
-    canonicalization sweeps short. When ``memory_log`` is given, the state
-    memory in bytes is appended after each gate.
+    Each maximal run of consecutive RXX gates is applied one left qubit ``i``
+    at a time, in order of ``i``. A lone RXX on (i, i+1) is an adjacent gate:
+    contracted, split once and truncated. Any other group, the RXX gates
+    from ``i`` to partners up to any distance, is applied as one fan-out, an
+    exact bond-2 MPO compressed by one truncating split per bond it spans,
+    with no SWAPs. Singular values are absorbed toward the next two-qubit
+    step to keep canonicalization sweeps short. When ``memory_log`` is given,
+    the state memory in bytes is appended once per circuit gate, after the
+    step that applied it.
     """
     if circuit.m != state.m:
         raise ValueError(f"circuit has {circuit.m} qubits, state has {state.m}")
-    gates = circuit.gates
-    # position of the next two-qubit gate after each index, for the absorb hint
-    next_2q = [None] * (len(gates) + 1)
-    for i in range(len(gates) - 1, -1, -1):
-        next_2q[i] = min(gates[i].qubits) if len(gates[i].qubits) == 2 else next_2q[i + 1]
-    for i, gate in enumerate(gates):
-        if len(gate.qubits) == 2:
-            nxt = next_2q[i + 1]
-            absorb = "left" if nxt is not None and nxt <= min(gate.qubits) else "right"
-            apply_gate(state, gate, absorb=absorb)
+    steps = _steps(circuit.gates)
+    # left qubit of the next two-qubit step after each index, for the absorb hint
+    next_2q = [None] * (len(steps) + 1)
+    for n in range(len(steps) - 1, -1, -1):
+        qubits = steps[n][0].qubits
+        next_2q[n] = min(qubits) if len(qubits) == 2 else next_2q[n + 1]
+    for n, step in enumerate(steps):
+        gate = step[0]
+        lo, hi = min(gate.qubits), max(gate.qubits)
+        if gate.kind == "RXX" and (len(step) > 1 or hi - lo != 1):
+            _apply_fan_out(state, step)
+        elif hi > lo:
+            nxt = next_2q[n + 1]
+            apply_gate(state, gate, absorb="left" if nxt is not None and nxt <= lo else "right")
         else:
             apply_gate(state, gate)
         if memory_log is not None:
-            memory_log.append(16 * state.entry_count())
+            memory_log.extend([16 * state.entry_count()] * len(step))
     return state
 
 

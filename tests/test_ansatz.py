@@ -205,12 +205,17 @@ class TestGateValidation:
             Gate("H", (0, 1))
         with pytest.raises(ValueError):
             Gate("RXX", (0,), 0.5)
+        with pytest.raises(ValueError, match="distinct"):
+            Gate("RXX", (2, 2), 0.5)
 
     def test_angle_presence_checked(self):
         with pytest.raises(ValueError):
             Gate("RZ", (0,))
         with pytest.raises(ValueError):
             Gate("SWAP", (0, 1), 0.5)
+        for angle in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                Gate("RZ", (0,), angle)
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):

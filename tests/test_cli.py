@@ -243,6 +243,8 @@ class TestMainEntry:
             {**small, "budget": float("inf")},
             {**small, "workers": True},
             {**small, "gamma": 1e308},
+            {**small, "gamma": 10**400},
+            {**small, "budget": 10**400},
         ):
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(raw))

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from mpskernel.ansatz import Circuit, FeatureMapConfig, Gate, encode_circuit
+from mpskernel import mps
+from mpskernel.ansatz import Circuit, FeatureMapConfig, Gate, build_circuit, encode_circuit
 from mpskernel.mps import (
 
     apply_gate,
@@ -313,3 +314,94 @@ class TestSerialization:
         state = simulate_circuit(circuit, budget=1e-16, memory_log=log)
         assert state.accumulated_discard > 0.0
         assert log[-1] < max(log)
+
+
+class TestFanOut:
+    """Circuits simulated as built: RXX gates sharing a left qubit become one MPO fan-out."""
+
+    def test_built_circuits_match_dense(self):
+        rng = np.random.default_rng(16)
+        for m in range(2, 11):
+            for d in range(1, m):
+                for gamma in (0.1, 1.0):
+                    cfg = FeatureMapConfig(m, int(rng.integers(1, 3)), d, gamma)
+                    circuit = build_circuit(rng.uniform(0.0, 2.0, m), cfg)
+                    state = simulate_circuit(circuit)
+                    err = np.abs(to_statevector(state) - statevector(circuit)).max()
+                    assert err < 1e-10, (m, d, gamma, err)
+
+    def test_hand_built_circuits_match_dense(self):
+        hadamards = [Gate("H", (q,)) for q in range(5)]
+        rxx = [Gate("RXX", pair, 0.3 + 0.2 * n)
+               for n, pair in enumerate([(0, 1), (0, 2), (1, 4), (0, 4), (2, 3), (1, 2), (3, 4)])]
+        shuffled = [rxx[n] for n in np.random.default_rng(17).permutation(len(rxx))]
+        cases = {
+            "reversed pair": [Gate("RXX", (3, 0), 0.9)],
+            "lone non-contiguous": [Gate("RXX", (0, 3), 0.7)],
+            "repeated pair": [Gate("RXX", (1, 3), 0.4), Gate("RXX", (3, 1), 1.1),
+                              Gate("RXX", (1, 2), 0.6), Gate("RXX", (1, 2), -0.2)],
+            "shuffled run": shuffled,
+            "rz between runs": [rxx[3], Gate("RZ", (2,), 0.8), rxx[1], rxx[2],
+                                Gate("RZ", (0,), -1.2), rxx[0], rxx[6], Gate("H", (4,)), rxx[4]],
+        }
+        for name, gates in cases.items():
+            circuit = Circuit(5, hadamards + [Gate("RZ", (q,), 0.3 * q) for q in range(5)] + gates)
+            state = simulate_circuit(circuit)
+            err = np.abs(to_statevector(state) - statevector(circuit)).max()
+            assert err < 1e-10, (name, err)
+
+    def test_one_split_per_spanned_bond(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd_truncated(*args, **kwargs)
+
+        svd_truncated = mps.svd_truncated
+        monkeypatch.setattr(mps, "svd_truncated", counted)
+        m, d, r = 12, 4, 2
+        x = np.random.default_rng(18).uniform(0.0, 2.0, m)
+        state = simulate_circuit(build_circuit(x, FeatureMapConfig(m, r, d, 1.0)))
+        expected = r * sum(m - k for k in range(1, d + 1))
+        assert len(calls) == expected
+        assert state.gate_count_2q == expected
+
+    def test_isometries_around_center(self):
+        rng = np.random.default_rng(19)
+        for d in (2, 4, 7):
+            x = rng.uniform(0.0, 2.0, 8)
+            state = simulate_circuit(build_circuit(x, FeatureMapConfig(8, 2, d, 1.0)))
+            assert state.ortho_center is not None
+            assert_isometries_around(state, state.ortho_center)
+
+    def test_truncation_accounting(self):
+        rng = np.random.default_rng(20)
+        discards = []
+        for _ in range(4):
+            x = 1.0 + rng.uniform(-0.1, 0.1, 12)
+            circuit = build_circuit(x, FeatureMapConfig(12, 2, 4, 1.0))
+            truncated = simulate_circuit(circuit, budget=1e-16)
+            exact = simulate_circuit(circuit, budget=0.0)
+            w = truncated.accumulated_discard
+            discards.append(w)
+            assert w <= truncated.gate_count_2q * truncated.trunc_budget_per_gate
+            fidelity = abs(inner_product(exact, truncated)) ** 2
+            assert fidelity >= 1.0 - 2.0 * w - 1e-12
+        assert max(discards) > 0.0
+
+    def test_matches_routed_simulation(self):
+        # near-midpoint features at budget 1e-16 keep the routed run to seconds
+        x = 1.0 + np.random.default_rng(21).uniform(-0.1, 0.1, 20)
+        cfg = FeatureMapConfig(20, 2, 6, 1.0)
+        fan_out = simulate_circuit(build_circuit(x, cfg), budget=1e-16)
+        routed = simulate_circuit(encode_circuit(x, cfg), budget=1e-16)
+        assert fan_out.accumulated_discard > 0.0
+        assert abs(abs(inner_product(routed, fan_out)) - 1.0) < 1e-10
+
+    def test_memory_log_has_one_entry_per_built_gate(self):
+        x = np.random.default_rng(22).uniform(0.0, 2.0, 7)
+        circuit = build_circuit(x, FeatureMapConfig(7, 2, 3, 0.5))
+        log = []
+        simulate_circuit(circuit, memory_log=log)
+        assert len(log) == len(circuit.gates)
+        assert all(entry > 0 for entry in log)
