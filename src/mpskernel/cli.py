@@ -106,8 +106,8 @@ def _load_raw(cfg: ExperimentConfig) -> learn.Dataset:
 
 def _select(dataset: learn.Dataset, m: int, n_per_class: int | None, seed: int):
     """Take the first m feature columns and a balanced seeded row sample."""
-    if m > dataset.m:
-        raise ValueError(f"requested {m} features but only {dataset.m} available")
+    if not 1 <= m <= dataset.m:
+        raise ValueError(f"requested {m} features; need 1 to {dataset.m}")
     features = dataset.features[:, :m]
     if n_per_class is None:
         return learn.Dataset(features, dataset.labels)

@@ -273,8 +273,8 @@ def decision_scores(model: SvmModel, K_eval) -> np.ndarray:
     return K @ model.dual_coefs + model.bias
 
 
-def evaluate(scores, labels, threshold: float = 0.0) -> Metrics:
-    """Threshold metrics plus the full ROC sweep and its trapezoidal area.
+def evaluate(scores, labels) -> Metrics:
+    """Metrics at threshold 0 plus the full ROC sweep and its trapezoidal area.
 
     Ties in the scores advance the ROC diagonally, which makes the area equal
     to the probability that a positive outscores a negative with half credit
@@ -293,7 +293,7 @@ def evaluate(scores, labels, threshold: float = 0.0) -> Metrics:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present to evaluate")
 
-    pred_pos = scores > threshold
+    pred_pos = scores > 0.0
     tp = int(np.sum(pred_pos & pos))
     fp = int(np.sum(pred_pos & neg))
     tn = n_neg - fp
@@ -362,10 +362,8 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels))
 
 
-def save_dataset_csv(path, dataset: Dataset, feature_names: list[str] | None = None) -> None:
-    names = feature_names or [f"f{i}" for i in range(dataset.m)]
-    if len(names) != dataset.m:
-        raise ValueError("feature_names length mismatch")
+def save_dataset_csv(path, dataset: Dataset) -> None:
+    names = [f"f{i}" for i in range(dataset.m)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names + [LABEL_COLUMN])

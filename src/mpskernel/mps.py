@@ -174,28 +174,27 @@ def _apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     return state
 
 
-def apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str = "right") -> MpsState:
+def _center_into(state: MpsState, lo: int, hi: int) -> None:
+    """Move the orthogonality center onto the nearest site of ``lo..hi``.
+
+    A step that rewrites only sites ``lo..hi`` needs the center somewhere
+    inside them (mixed-canonical form); an unknown gauge is fixed at ``lo``.
+    """
+    center = state.ortho_center
+    if center is None or center < lo:
+        canonicalize(state, lo)
+    elif center > hi:
+        canonicalize(state, hi)
+
+
+def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     """Apply a 4x4 unitary (basis |q, q+1>) to the adjacent pair (q, q+1).
 
-    The pair is contracted with the gate, split by a truncated SVD within the
-    per-gate budget, and the singular values are absorbed into the side named
-    by ``absorb``. The weight removed by truncation is added to
-    ``accumulated_discard`` and the kept spectrum is rescaled so the state
-    norm is preserved.
+    The center is first moved into the pair. The pair is contracted with the
+    gate and split by one truncating SVD; the singular values are absorbed
+    into site q+1, which leaves the center there.
     """
-    if not 0 <= q < state.m - 1:
-        raise ValueError(f"site pair ({q}, {q + 1}) out of range")
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (4, 4):
-        raise ValueError("two-qubit gate must be a 4x4 matrix")
-    _check_unitary(matrix)
-    return _apply_two_qubit(state, q, matrix, absorb)
-
-
-def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str) -> MpsState:
-    if absorb not in ("left", "right"):
-        raise ValueError("absorb must be 'left' or 'right'")
-    canonicalize(state, q)
+    _center_into(state, q, q + 1)
     t0 = time.perf_counter()
     theta = np.tensordot(state.sites[q], state.sites[q + 1], axes=(2, 0))  # l p0 p1 r
     g = matrix.reshape(2, 2, 2, 2)
@@ -203,14 +202,9 @@ def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray, absorb: str) -
     theta = theta.transpose(2, 0, 1, 3)
 
     left, s, right = _truncate(state, theta, 2)
-    if absorb == "left":
-        state.sites[q] = left * s
-        state.sites[q + 1] = right
-        state.ortho_center = q
-    else:
-        state.sites[q] = left
-        state.sites[q + 1] = s[:, None, None] * right
-        state.ortho_center = q + 1
+    state.sites[q] = left
+    state.sites[q + 1] = s[:, None, None] * right
+    state.ortho_center = q + 1
     state._tick("two_qubit", t0)
     return state
 
@@ -240,9 +234,10 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
     bond-2 MPO sum_s P_s(i) (x) prod_j exp(-i s angles[j] X_j / 2), where P_s
     projects qubit i onto X = s and angles[j] sums the angles of the gates on
     (i, j). It is contracted into sites i..L, L the farthest partner, with
-    identities on the sites between that have none. A QR sweep from i moves
-    the center onto L, and a truncating SVD sweep back splits every bond from
-    L down to i + 1, leaving the center at i.
+    identities on the sites between that have none. The center is first moved
+    into i..L; a QR sweep from i then re-isometrizes the window up to L, and a
+    truncating SVD sweep back splits every bond from L down to i + 1, leaving
+    the center at i.
     """
     i = _left_qubit(step[0])
     angles: dict[int, float] = {}
@@ -252,7 +247,7 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
     last = max(angles)
     if last >= state.m:
         raise ValueError(f"qubit {last} out of range for {state.m} sites")
-    canonicalize(state, i)
+    _center_into(state, i, last)
     t0 = time.perf_counter()
     for k in range(i, last + 1):
         w = _X_PROJECTORS if k == i else _x_rotations(angles.get(k, 0.0))
@@ -284,8 +279,12 @@ def _x_rotations(angle: float) -> np.ndarray:
     return w
 
 
-def apply_gate(state: MpsState, gate: Gate, absorb: str = "right") -> MpsState:
-    """Apply one circuit gate; two-qubit gates require adjacent qubits."""
+def apply_gate(state: MpsState, gate: Gate) -> MpsState:
+    """Apply one circuit gate; two-qubit gates require adjacent qubits.
+
+    A two-qubit gate on (q, q+1) first moves the center into the pair and
+    leaves it at q+1; a one-qubit gate does not move it.
+    """
     for q in gate.qubits:
         if not 0 <= q < state.m:
             raise ValueError(f"qubit {q} out of range for {state.m} sites")
@@ -299,7 +298,7 @@ def apply_gate(state: MpsState, gate: Gate, absorb: str = "right") -> MpsState:
         )
     if a > b:
         u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return _apply_two_qubit(state, min(a, b), u, absorb)
+    return _apply_two_qubit(state, min(a, b), u)
 
 
 def _steps(gates: list[Gate]) -> list[list[Gate]]:
@@ -328,30 +327,21 @@ def run_circuit(state: MpsState, circuit: Circuit, memory_log: list[int] | None 
 
     Each maximal run of consecutive RXX gates is applied one left qubit ``i``
     at a time, in order of ``i``. A lone RXX on (i, i+1) is an adjacent gate:
-    contracted, split once and truncated. Any other group, the RXX gates
-    from ``i`` to partners up to any distance, is applied as one fan-out, an
-    exact bond-2 MPO compressed by one truncating split per bond it spans,
-    with no SWAPs. Singular values are absorbed toward the next two-qubit
-    step to keep canonicalization sweeps short. When ``memory_log`` is given,
-    the state memory in bytes is appended once per circuit gate, after the
-    step that applied it.
+    contracted, split once and truncated, leaving the center at i+1. Any
+    other group, the RXX gates from ``i`` to partners up to any distance, is
+    applied as one fan-out, an exact bond-2 MPO compressed by one truncating
+    split per bond it spans, with no SWAPs, leaving the center at i. Each
+    two-qubit step first moves the orthogonality center to the nearest site
+    of the window it rewrites. When ``memory_log`` is given, the state memory
+    in bytes is appended once per circuit gate, after the step that applied
+    it.
     """
     if circuit.m != state.m:
         raise ValueError(f"circuit has {circuit.m} qubits, state has {state.m}")
-    steps = _steps(circuit.gates)
-    # left qubit of the next two-qubit step after each index, for the absorb hint
-    next_2q = [None] * (len(steps) + 1)
-    for n in range(len(steps) - 1, -1, -1):
-        qubits = steps[n][0].qubits
-        next_2q[n] = min(qubits) if len(qubits) == 2 else next_2q[n + 1]
-    for n, step in enumerate(steps):
+    for step in _steps(circuit.gates):
         gate = step[0]
-        lo, hi = min(gate.qubits), max(gate.qubits)
-        if gate.kind == "RXX" and (len(step) > 1 or hi - lo != 1):
+        if gate.kind == "RXX" and (len(step) > 1 or abs(gate.qubits[0] - gate.qubits[1]) != 1):
             _apply_fan_out(state, step)
-        elif hi > lo:
-            nxt = next_2q[n + 1]
-            apply_gate(state, gate, absorb="left" if nxt is not None and nxt <= lo else "right")
         else:
             apply_gate(state, gate)
         if memory_log is not None:
@@ -450,6 +440,10 @@ def deserialize_state(buf: bytes) -> MpsState:
     bonds = [1] + [t.shape[2] for t in sites]
     if not sites or bonds[-1] != 1 or any(t.shape[0] != b for t, b in zip(sites, bonds)):
         raise ValueError("site shapes do not form an open chain")
+    if not -1 <= center < m:
+        raise ValueError(f"center {center} out of range for {m} sites")
+    if not (math.isfinite(budget) and budget >= 0 and math.isfinite(discard) and discard >= 0):
+        raise ValueError(f"budget {budget} and discard {discard} must be finite and non-negative")
     return MpsState(
         sites=sites,
         trunc_budget_per_gate=budget,

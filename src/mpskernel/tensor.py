@@ -43,7 +43,7 @@ def svd_truncated(t, left_axes: int, budget: float) -> SvdResult:
     t = np.asarray(t, dtype=np.complex128)
     if not 0 < left_axes < t.ndim:
         raise ValueError("split must leave a non-empty axis group on each side")
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be non-negative")
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor has non-finite entries")

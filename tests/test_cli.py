@@ -250,6 +250,14 @@ class TestMainEntry:
             config.write_text(json.dumps(raw))
             code = main(["gram", "--config", str(config), "--out-dir", str(tmp_path)])
             assert code == EXIT_VALIDATION
+        capsys.readouterr()
+        good = tmp_path / "good.csv"
+        good.write_text("a,b,class\n1,2,1\n2,3,-1\n")
+        for features in ("-1", "0"):
+            code = main(["preprocess", "--data", str(good), "--features", features,
+                         "--out", str(tmp_path / "pre.csv")])
+            assert code == EXIT_VALIDATION, features
+            assert "features" in capsys.readouterr().err, features
         config.write_text(json.dumps({**small, "c_grid": []}))
         code = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION

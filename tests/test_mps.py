@@ -31,6 +31,18 @@ def random_feature_circuit(rng, m, d=None, r=1, gamma=0.5):
     x = rng.uniform(0.0, 2.0, m)
     return encode_circuit(x, cfg)
 
+def count_qr(monkeypatch):
+    """List that gains one entry per np.linalg.qr call while the test runs."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
 class TestInitState:
     def test_zero_state_is_normalized_product(self):
         state = init_state(3, "zero")
@@ -101,6 +113,19 @@ class TestApplyGate:
         circuit = Circuit(3, [Gate("H", (1,)), Gate("RXX", (2, 1), 0.9)])
         state = simulate_circuit(circuit)
         assert np.allclose(to_statevector(state), statevector(circuit), atol=1e-10)
+
+    def test_center_on_right_site_needs_no_qr(self, monkeypatch):
+        x = np.random.default_rng(23).uniform(0.0, 2.0, 6)
+        circuit = build_circuit(x, FeatureMapConfig(6, 1, 2, 1.0))
+        state = canonicalize(simulate_circuit(circuit), 3)
+        gate = Gate("RXX", (2, 3), 0.7)
+        calls = count_qr(monkeypatch)
+        apply_gate(state, gate)
+        assert len(calls) == 0
+        assert state.ortho_center == 3
+        assert_isometries_around(state, 3)
+        expected = statevector(Circuit(6, circuit.gates + [gate]))
+        assert np.allclose(to_statevector(state), expected, atol=1e-10)
 
 def assert_isometries_around(state, center):
     for i, site in enumerate(state.sites):
@@ -282,8 +307,15 @@ class TestSerialization:
             + struct.pack("<II", 1, 1)
             + bytes(16 * 2)
         )
+
+        def with_header(center=0, budget=1e-24, discard=0.0):
+            head = struct.pack("<IddiIQQ", 3, budget, discard, center, 1, 0, 0)
+            return blob[:4] + head + blob[4 + len(head):]
+
         # bare magic, short header, short site record, short entries, trailing
-        # byte, zero sites, and neighbouring sites whose bonds disagree
+        # byte, zero sites, neighbouring sites whose bonds disagree, a center
+        # past the last site, and a budget or discard that is NaN, infinite or
+        # negative
         for bad in (
             b"MPS1",
             blob[:20],
@@ -292,6 +324,12 @@ class TestSerialization:
             blob + b"\x00",
             no_sites,
             broken_bond,
+            with_header(center=7),
+            with_header(center=3),
+            with_header(budget=float("nan")),
+            with_header(budget=-1.0),
+            with_header(discard=-5.0),
+            with_header(discard=float("inf")),
         ):
             with pytest.raises(ValueError):
                 deserialize_state(bad)
@@ -397,6 +435,21 @@ class TestFanOut:
         routed = simulate_circuit(encode_circuit(x, cfg), budget=1e-16)
         assert fan_out.accumulated_discard > 0.0
         assert abs(abs(inner_product(routed, fan_out)) - 1.0) < 1e-10
+
+    def test_center_inside_window_costs_only_the_sweep(self, monkeypatch):
+        x = np.random.default_rng(24).uniform(0.0, 2.0, 7)
+        circuit = build_circuit(x, FeatureMapConfig(7, 1, 2, 1.0))
+        fan_out = Circuit(7, [Gate("RXX", (1, 2), 0.4), Gate("RXX", (1, 4), -0.9)])
+        calls = count_qr(monkeypatch)
+        for center in (1, 2, 4):
+            state = canonicalize(simulate_circuit(circuit), center)
+            calls.clear()
+            run_circuit(state, fan_out)
+            assert len(calls) == 4 - 1, center  # the fan-out's own sweep 1 -> 4
+            assert state.ortho_center == 1
+            assert_isometries_around(state, 1)
+            expected = statevector(Circuit(7, circuit.gates + fan_out.gates))
+            assert np.allclose(to_statevector(state), expected, atol=1e-10)
 
     def test_memory_log_has_one_entry_per_built_gate(self):
         x = np.random.default_rng(22).uniform(0.0, 2.0, 7)

@@ -81,6 +81,11 @@ class TestSvdTruncated:
         with pytest.raises(ValueError, match="non-empty"):
             svd_truncated(np.zeros((2, 2)), 2, 0.0)
 
+    def test_negative_or_nan_budget_raises(self):
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="budget"):
+                svd_truncated(np.eye(2), 1, budget)
+
     def test_non_finite_entries_raise(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
