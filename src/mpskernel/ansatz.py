@@ -64,6 +64,8 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(set(self.qubits)) != arity:
             raise ValueError(f"{self.kind} needs distinct qubits, got {self.qubits}")
+        if min(self.qubits) < 0:
+            raise ValueError(f"{self.kind} qubits must be non-negative, got {self.qubits}")
         if self.angle is not None:
             object.__setattr__(self, "angle", float(self.angle))
             if not math.isfinite(self.angle):
@@ -77,7 +79,7 @@ class Circuit:
 
     def __post_init__(self):
         for g in self.gates:
-            if any(not 0 <= q < self.m for q in g.qubits):
+            if max(g.qubits) >= self.m:
                 raise ValueError(f"gate {g} addresses a qubit outside 0..{self.m - 1}")
 
 

@@ -1,5 +1,9 @@
 """Command-line surface: preprocess, experiment, gram and benchmark subcommands.
 
+Each subcommand takes only the flags it reads. A flag's ``dest`` is the
+``ExperimentConfig`` or ``SyntheticSpec`` field it sets (``--features`` sets
+``m``), and a flag that is given overrides the ``--config`` file.
+
 Every command is deterministic for a fixed seed and configuration and writes
 UTF-8 JSON and CSV artifacts. Exit codes: 0 success, 2 I/O failure,
 3 validation failure, 4 solver non-convergence, 1 anything else.
@@ -27,9 +31,6 @@ EXIT_UNEXPECTED = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
-
-_STRATEGY_FLAGS = {"no-messaging": "no_messaging", "round-robin": "round_robin"}
-
 
 @dataclass
 class SyntheticSpec:
@@ -355,85 +356,76 @@ def _load_config(path: str | None) -> ExperimentConfig:
     synth = raw.get("synthetic")
     if synth is not None:
         raw["synthetic"] = SyntheticSpec(**_known_keys(synth, SyntheticSpec, "synthetic"))
-    strategy = raw.get("strategy")
-    if strategy in _STRATEGY_FLAGS:
-        raw["strategy"] = _STRATEGY_FLAGS[strategy]
     for key, value in raw.items():
         setattr(cfg, key, value)
     return cfg
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    mapping = {
-        "seed": "seed",
-        "workers": "workers",
-        "features": "m",
-        "distance": "d",
-        "layers": "r",
-        "gamma": "gamma",
-        "per_class": "n_per_class",
-        "data": "data",
-        "baseline": "baseline",
-    }
-    for flag, attr in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None and value is not False:
-            setattr(cfg, attr, value)
-    strategy = getattr(args, "strategy", None)
-    if strategy is not None:
-        cfg.strategy = _STRATEGY_FLAGS[strategy]
-    if getattr(args, "synthetic", False) and cfg.synthetic is None:
+    """Set the field each given flag is named after: an ``ExperimentConfig``
+    field, or a synthetic-generator field once there is a generator spec."""
+    given = dict(vars(args))
+    if given.pop("synthetic", False) and cfg.synthetic is None:
         cfg.synthetic = SyntheticSpec()
-    if cfg.synthetic is not None:
-        for flag, attr in {
-            "blobs": "blobs_per_class",
-            "separation": "separation",
-            "informative": "n_informative",
-        }.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                setattr(cfg.synthetic, attr, value)
+    for key, value in given.items():
+        if key in ExperimentConfig.__dataclass_fields__:
+            setattr(cfg, key, value)
+        elif cfg.synthetic is not None and key in SyntheticSpec.__dataclass_fields__:
+            setattr(cfg.synthetic, key, value)
+    cfg.strategy = cfg.strategy.replace("-", "_")
     return cfg
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS))
-    parser.add_argument("--features", type=int, help="number of features / qubits (m)")
-    parser.add_argument("--distance", type=int, help="interaction distance (d)")
-    parser.add_argument("--layers", type=int, help="encoding repetitions (r)")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--data", help="dataset CSV with a 'class' label column")
-    parser.add_argument("--per-class", dest="per_class", type=int)
-    parser.add_argument("--synthetic", action="store_true", help="use the synthetic generator")
-    parser.add_argument("--blobs", type=int, help="synthetic blobs per class")
-    parser.add_argument("--separation", type=float, help="synthetic class separation")
-    parser.add_argument("--informative", type=int, help="synthetic informative feature count")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    def group() -> argparse.ArgumentParser:
+        # a flag that is not given stays out of the namespace
+        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+
+    source = group()
+    source.add_argument(
+        "--config", default=None, help="JSON config file; flags override its values"
+    )
+    source.add_argument("--seed", type=int)
+    source.add_argument("--features", dest="m", type=int, help="number of features / qubits (m)")
+    source.add_argument("--data", help="dataset CSV with a 'class' label column")
+    source.add_argument("--synthetic", action="store_true", help="use the synthetic generator")
+    source.add_argument(
+        "--blobs", dest="blobs_per_class", type=int, help="synthetic blobs per class"
+    )
+    source.add_argument("--separation", type=float, help="synthetic class separation")
+    source.add_argument(
+        "--informative", dest="n_informative", type=int, help="synthetic informative feature count"
+    )
+    rows = group()
+    rows.add_argument("--per-class", dest="n_per_class", type=int)
+    circuit = group()
+    circuit.add_argument("--distance", dest="d", type=int, help="interaction distance (d)")
+    circuit.add_argument("--layers", dest="r", type=int, help="encoding repetitions (r)")
+    circuit.add_argument("--gamma", type=float)
+    circuit.add_argument("--out-dir", default=".")
+    schedule = group()
+    schedule.add_argument("--workers", type=int)
+    schedule.add_argument("--strategy", choices=("no-messaging", "round-robin"))
+
     parser = argparse.ArgumentParser(
         prog="mpskernel",
         description="Quantum kernel learning with matrix product state simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="write a balanced, rescaled dataset CSV")
-    _add_common(p)
+    def command(name: str, what: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=what, parents=parents, argument_default=argparse.SUPPRESS)
+
+    p = command("preprocess", "write a balanced, rescaled dataset CSV", source, rows)
     p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("experiment", help="run the full train/evaluate pipeline")
-    _add_common(p)
+    p = command(
+        "experiment", "run the full train/evaluate pipeline", source, rows, circuit, schedule
+    )
     p.add_argument("--baseline", action="store_true", help="also run the Gaussian kernel")
-
-    p = sub.add_parser("gram", help="compute a train Gram matrix and write it as CSV")
-    _add_common(p)
-
-    p = sub.add_parser("benchmark", help="time simulations and inner products")
-    _add_common(p)
+    command(
+        "gram", "compute a train Gram matrix and write it as CSV", source, rows, circuit, schedule
+    )
+    p = command("benchmark", "time simulations and inner products", source, circuit)
     p.add_argument("--samples", type=int, default=8)
     return parser
 
@@ -462,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

@@ -358,7 +358,12 @@ def load_dataset_csv(path) -> Dataset:
                     f"{path}: line {reader.line_num}: {len(record)} fields, header has {len(header)}"
                 )
             labels.append(_parse_label(record[label_pos], path, reader.line_num))
-            rows.append([float(v) for i, v in enumerate(record) if i != label_pos])
+            try:
+                rows.append([float(v) for i, v in enumerate(record) if i != label_pos])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels))
 
 

@@ -217,6 +217,11 @@ class TestGateValidation:
             with pytest.raises(ValueError, match="finite"):
                 Gate("RZ", (0,), angle)
 
+    def test_negative_qubit_rejected(self):
+        for kind, qubits, angle in (("H", (-1,), None), ("RXX", (-1, 1), 0.7)):
+            with pytest.raises(ValueError, match="non-negative"):
+                Gate(kind, qubits, angle)
+
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError):
             Circuit(2, [Gate("H", (2,))])

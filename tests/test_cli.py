@@ -12,6 +12,9 @@ from mpskernel.cli import (
     EXIT_VALIDATION,
     ExperimentConfig,
     SyntheticSpec,
+    _apply_overrides,
+    _build_parser,
+    _load_config,
     cmd_benchmark,
     cmd_experiment,
     cmd_preprocess,
@@ -105,14 +108,15 @@ class TestExperiment:
 
     def test_worker_count_does_not_change_grams(self, tmp_path):
         r1 = cmd_experiment(synthetic_cfg(workers=1), tmp_path / "k1")
-        r4 = cmd_experiment(synthetic_cfg(workers=4), tmp_path / "k4")
-        g1 = np.loadtxt(tmp_path / "k1" / "gram_train.csv", delimiter=",")
-        g4 = np.loadtxt(tmp_path / "k4" / "gram_train.csv", delimiter=",")
-        assert np.abs(g1 - g4).max() < 1e-12
-        t1 = np.loadtxt(tmp_path / "k1" / "gram_test.csv", delimiter=",")
-        t4 = np.loadtxt(tmp_path / "k4" / "gram_test.csv", delimiter=",")
-        assert np.abs(t1 - t4).max() < 1e-12
-        assert r1["split"] == r4["split"]
+        for run, workers, strategy in (("k4", 4, "round_robin"), ("nm", 3, "no_messaging")):
+            r = cmd_experiment(
+                synthetic_cfg(workers=workers, strategy=strategy), tmp_path / run
+            )
+            for name in ("gram_train.csv", "gram_test.csv"):
+                a = np.loadtxt(tmp_path / "k1" / name, delimiter=",")
+                b = np.loadtxt(tmp_path / run / name, delimiter=",")
+                assert np.array_equal(a, b), (run, name)
+            assert r1["split"] == r["split"]
 
     def test_baseline_shares_split(self, tmp_path):
         result = cmd_experiment(synthetic_cfg(baseline=True), tmp_path)
@@ -140,6 +144,72 @@ class TestBenchmark:
     def test_too_few_samples_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2"):
             cmd_benchmark(synthetic_cfg(), samples=1, out_dir=tmp_path)
+
+
+def parse(argv: list[str]) -> ExperimentConfig:
+    args = _build_parser().parse_args(argv)
+    return _apply_overrides(_load_config(args.config), args)
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("preprocess", "--workers", "2"),
+            ("preprocess", "--strategy", "round-robin"),
+            ("preprocess", "--distance", "2"),
+            ("preprocess", "--layers", "2"),
+            ("preprocess", "--gamma", "0.5"),
+            ("preprocess", "--out-dir", "."),
+            ("benchmark", "--workers", "2"),
+            ("benchmark", "--strategy", "round-robin"),
+            ("benchmark", "--per-class", "3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        if command == "preprocess":
+            out = ["--out", str(tmp_path / "p.csv")]
+        else:
+            out = ["--out-dir", str(tmp_path)]
+        code = main([command, "--synthetic", "--features", "3", flag, value, *out])
+        assert code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_flag_sets_its_config_field(self, tmp_path):
+        assert parse(["experiment"]) == ExperimentConfig()
+        cfg = parse(
+            [
+                "experiment",
+                "--seed", "5",
+                "--features", "6",
+                "--data", "d.csv",
+                "--synthetic",
+                "--blobs", "3",
+                "--separation", "2.5",
+                "--informative", "2",
+                "--per-class", "7",
+                "--distance", "2",
+                "--layers", "3",
+                "--gamma", "0.25",
+                "--out-dir", str(tmp_path),
+                "--workers", "4",
+                "--strategy", "no-messaging",
+                "--baseline",
+            ]
+        )
+        assert (cfg.seed, cfg.m, cfg.data, cfg.n_per_class) == (5, 6, "d.csv", 7)
+        assert (cfg.d, cfg.r, cfg.gamma) == (2, 3, 0.25)
+        assert (cfg.workers, cfg.strategy, cfg.baseline) == (4, "no_messaging", True)
+        assert cfg.synthetic == SyntheticSpec(
+            n_per_class=100, blobs_per_class=3, separation=2.5, n_informative=2
+        )
+        config = tmp_path / "cfg.json"
+        for strategy in ("round-robin", "round_robin"):
+            config.write_text(json.dumps({"strategy": strategy, "baseline": True}))
+            cfg = parse(["experiment", "--config", str(config)])
+            assert cfg == ExperimentConfig(strategy="round_robin", baseline=True), strategy
 
 
 class TestMainEntry:
@@ -227,6 +297,16 @@ class TestMainEntry:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
+        for name, text, message in (
+            ("feature.csv", "a,b,class\n1,2,1\n2,x,-1\n", "line 3"),
+            ("header.csv", "a,b,class\n", "no data rows"),
+        ):
+            (tmp_path / name).write_text(text)
+            code = main(["gram", "--data", str(tmp_path / name), "--features", "2",
+                         "--out-dir", str(tmp_path)])
+            assert code == EXIT_VALIDATION, name
+            err = capsys.readouterr().err
+            assert message in err and name in err, name
         for label in ("inf", "1.9"):
             bad_label = tmp_path / "label.csv"
             bad_label.write_text(f"a,b,class\n1,2,1\n2,3,{label}\n")
@@ -273,7 +353,6 @@ class TestMainEntry:
                 "--distance", "1",
                 "--layers", "2",
                 "--gamma", "0.1",
-                "--per-class", "6",
                 "--samples", "4",
                 "--seed", "1",
                 "--out-dir", str(tmp_path),
