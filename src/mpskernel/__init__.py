@@ -10,7 +10,6 @@ from .ansatz import (
     route_linear,
 )
 from .kernel import (
-    GramMatrix,
     RunReport,
     TileSchedule,
     compute_gram,

@@ -98,6 +98,8 @@ def generate_blobs(spec: SyntheticSpec, m: int, seed: int) -> learn.Dataset:
 
 
 def _load_raw(cfg: ExperimentConfig) -> learn.Dataset:
+    if cfg.data is not None and cfg.synthetic is not None:
+        raise ValueError("config names both a data path and a synthetic generator; give one")
     if cfg.data is not None:
         return learn.load_dataset_csv(cfg.data)
     if cfg.synthetic is not None:
@@ -105,21 +107,25 @@ def _load_raw(cfg: ExperimentConfig) -> learn.Dataset:
     raise ValueError("config needs either a data path or a synthetic generator spec")
 
 
-def _select(dataset: learn.Dataset, m: int, n_per_class: int | None, seed: int):
-    """Take the first m feature columns and a balanced seeded row sample."""
-    if not 1 <= m <= dataset.m:
-        raise ValueError(f"requested {m} features; need 1 to {dataset.m}")
-    features = dataset.features[:, :m]
+def _select(cfg: ExperimentConfig, n_per_class: int | None) -> learn.Dataset:
+    """Load the rows, then take the first m feature columns and a balanced
+    seeded sample of ``n_per_class`` rows per class (all rows if None)."""
+    dataset = _load_raw(cfg)
+    if not 1 <= cfg.m <= dataset.m:
+        raise ValueError(f"requested {cfg.m} features; need 1 to {dataset.m}")
+    features = dataset.features[:, :cfg.m]
     if n_per_class is None:
         return learn.Dataset(features, dataset.labels)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     keep = []
     for label in (1, -1):
         members = np.flatnonzero(dataset.labels == label)
         if members.size < n_per_class:
-            raise ValueError(
-                f"class {label} has {members.size} rows, need {n_per_class}"
+            source = "" if cfg.synthetic is None else (
+                f"; the synthetic generator makes {cfg.synthetic.n_per_class} rows per "
+                f"class (config key synthetic.n_per_class)"
             )
+            raise ValueError(f"class {label} has {members.size} rows, need {n_per_class}{source}")
         keep.extend(sorted(rng.choice(members, size=n_per_class, replace=False)))
     keep = np.array(sorted(keep), dtype=np.int64)
     return learn.Dataset(features[keep], dataset.labels[keep])
@@ -127,8 +133,7 @@ def _select(dataset: learn.Dataset, m: int, n_per_class: int | None, seed: int):
 
 def cmd_preprocess(cfg: ExperimentConfig, out_csv: str) -> dict:
     """Balanced down-selection plus a [0, 2] rescale over the selected rows."""
-    raw = _load_raw(cfg)
-    selected = _select(raw, cfg.m, cfg.n_per_class, cfg.seed)
+    selected = _select(cfg, cfg.n_per_class)
     scaled, _, _ = learn.rescale(selected.features, selected.features)
     out = learn.Dataset(scaled, selected.labels)
     learn.save_dataset_csv(out_csv, out)
@@ -181,8 +186,15 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     grid = cfg.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _select(_load_raw(cfg), cfg.m, cfg.n_per_class, cfg.seed)
+    dataset = _select(cfg, cfg.n_per_class)
     train_idx, test_idx = learn.split_indices(dataset.labels, 0.8, cfg.seed)
+    for part, idx in (("train", train_idx), ("test", test_idx)):
+        for label in (1, -1):
+            if not np.any(dataset.labels[idx] == label):
+                raise ValueError(
+                    f"the 80/20 split left class {label} with no {part} rows; "
+                    f"each class needs at least 3 rows"
+                )
     X_train, X_test, params = learn.rescale(
         dataset.features[train_idx], dataset.features[test_idx]
     )
@@ -205,8 +217,8 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     )
 
     sidecar = _sidecar(cfg, int(dataset.n), report)
-    kernel.save_gram(gram_train, out / "gram_train.csv", sidecar)
-    kernel.save_gram(gram_test, out / "gram_test.csv", sidecar)
+    kernel.save_gram(gram_train, out / "gram_train.csv", {**sidecar, "kind": "train"})
+    kernel.save_gram(gram_test, out / "gram_test.csv", {**sidecar, "kind": "test"})
 
     quantum_rows, models = _metric_rows(gram_train, gram_test, y_train, y_test, grid)
     best = _best(quantum_rows)
@@ -235,13 +247,13 @@ def cmd_gram(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train-kind Gram over all selected rows, rescaled over themselves."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _select(_load_raw(cfg), cfg.m, cfg.n_per_class, cfg.seed)
+    dataset = _select(cfg, cfg.n_per_class)
     X, _, _ = learn.rescale(dataset.features, dataset.features)
     report = kernel.RunReport()
     sched = kernel.make_schedule(len(X), len(X), cfg.workers, cfg.strategy, "train")
     gram = kernel.run_distributed(X, X, cfg.feature_map(), sched, budget=cfg.budget, report=report)
     sidecar = _sidecar(cfg, int(dataset.n), report)
-    kernel.save_gram(gram, out / "gram.csv", sidecar)
+    kernel.save_gram(gram, out / "gram.csv", {**sidecar, "kind": "train"})
     return sidecar
 
 
@@ -256,7 +268,7 @@ def cmd_benchmark(cfg: ExperimentConfig, samples: int, out_dir: str) -> dict:
         raise ValueError("benchmark needs at least 2 samples")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _select(_load_raw(cfg), cfg.m, None, cfg.seed)
+    dataset = _select(cfg, None)
     if dataset.n < samples:
         raise ValueError(f"dataset has {dataset.n} rows, need {samples}")
     X, _, _ = learn.rescale(dataset.features, dataset.features)
@@ -363,14 +375,19 @@ def _load_config(path: str | None) -> ExperimentConfig:
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """Set the field each given flag is named after: an ``ExperimentConfig``
-    field, or a synthetic-generator field once there is a generator spec."""
+    field, or a synthetic-generator field, which needs a generator spec."""
     given = dict(vars(args))
     if given.pop("synthetic", False) and cfg.synthetic is None:
         cfg.synthetic = SyntheticSpec()
     for key, value in given.items():
         if key in ExperimentConfig.__dataclass_fields__:
             setattr(cfg, key, value)
-        elif cfg.synthetic is not None and key in SyntheticSpec.__dataclass_fields__:
+        elif key in SyntheticSpec.__dataclass_fields__:
+            if cfg.synthetic is None:
+                raise ValueError(
+                    f"{key} is a synthetic generator setting, but no generator is given; "
+                    f"add --synthetic or a config 'synthetic' spec"
+                )
             setattr(cfg.synthetic, key, value)
     cfg.strategy = cfg.strategy.replace("-", "_")
     return cfg

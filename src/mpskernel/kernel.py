@@ -1,12 +1,15 @@
 """Gram matrices of squared state overlaps.
 
 Each data row is encoded and simulated once as an MPS; kernel entries are
-squared moduli of pairwise inner products. A :class:`TileSchedule` is a
-checked record of one Gram's kind (``train`` or ``test``) and state counts.
-:func:`make_schedule` also validates a worker count ``k`` and a strategy
-(``no_messaging`` or ``round_robin``), which callers record alongside the
-Gram but which never shape it: :func:`run_distributed` simulates each row
-once and fills the Gram in one pass on the calling thread.
+squared moduli of pairwise inner products. A Gram is a plain ``np.ndarray``:
+``train`` is square and symmetric, ``test`` is test rows by train columns.
+A :class:`TileSchedule` is a checked record of one Gram's kind (``train`` or
+``test``) and state counts. :func:`make_schedule` also validates a worker
+count ``k`` and a strategy (``no_messaging`` or ``round_robin``), which
+callers record alongside the Gram but which never shape it:
+:func:`run_distributed` simulates each row once and fills the Gram in one
+pass on the calling thread. :func:`save_gram` writes a Gram as CSV, with a
+JSON sidecar of the caller's metadata (the Gram's kind among it) and shape.
 """
 
 from __future__ import annotations
@@ -22,22 +25,6 @@ from .mps import DEFAULT_TRUNC_BUDGET, MpsState, inner_product, simulate_circuit
 
 STRATEGIES = ("no_messaging", "round_robin")
 KINDS = ("train", "test")
-
-
-@dataclass
-class GramMatrix:
-    """Kernel entries; ``train`` is square symmetric, ``test`` is test rows by train cols."""
-
-    entries: np.ndarray
-    kind: str
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,7 @@ def compute_gram(
     kets: list[MpsState],
     kind: str,
     report: RunReport | None = None,
-) -> GramMatrix:
+) -> np.ndarray:
     """The one pair loop: squared overlaps of bra ``i`` with ket ``j``.
 
     ``train`` requires ``bras is kets``; only the strict upper triangle is
@@ -115,7 +102,7 @@ def compute_gram(
     if report is not None:
         report.n_inner_products += len(bras) * (len(bras) - 1) // 2 if train else K.size
         report._add("inner_products", time.perf_counter() - t0)
-    return GramMatrix(K, kind)
+    return K
 
 
 def make_schedule(n_bras: int, n_kets: int, k: int, strategy: str, kind: str) -> TileSchedule:
@@ -144,7 +131,7 @@ def run_distributed(
     schedule: TileSchedule,
     budget: float = DEFAULT_TRUNC_BUDGET,
     report: RunReport | None = None,
-) -> GramMatrix:
+) -> np.ndarray:
     """Compute the Gram that ``schedule`` records, on the calling thread.
 
     The rows must match the schedule's state counts. Each ket row is
@@ -169,21 +156,18 @@ def run_distributed(
     return compute_gram(bras, kets, schedule.kind, report)
 
 
-def save_gram(gram: GramMatrix, csv_path, sidecar: dict | None = None) -> None:
-    """Write the full matrix as CSV with 17 significant digits, plus a JSON sidecar."""
+def save_gram(K: np.ndarray, csv_path, sidecar: dict | None = None) -> None:
+    """Write the full matrix as CSV with 17 significant digits, plus a JSON sidecar.
+
+    The sidecar holds ``sidecar``'s keys (a Gram's ``kind`` among them) plus
+    the matrix's ``rows`` and ``cols``.
+    """
     with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in gram.entries:
+        for row in K:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     if sidecar is not None:
-        meta = dict(sidecar)
-        meta.setdefault("kind", gram.kind)
-        meta.setdefault("rows", gram.rows)
-        meta.setdefault("cols", gram.cols)
+        meta = {**sidecar, "rows": K.shape[0], "cols": K.shape[1]}
         with open(str(csv_path) + ".json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-
-def load_gram(csv_path, kind: str) -> GramMatrix:
-    entries = np.loadtxt(csv_path, delimiter=",", dtype=np.float64, ndmin=2)
-    return GramMatrix(entries, kind)

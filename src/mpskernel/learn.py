@@ -1,5 +1,9 @@
 """Preprocessing, Gaussian-kernel baseline, SVM training on precomputed kernels, metrics.
 
+A kernel is a 2-D array of entries: :func:`gaussian_gram` returns an
+``np.ndarray``, and :func:`svm_train` and :func:`decision_scores` take any
+array-like, such as a quantum Gram from :mod:`mpskernel.kernel`.
+
 The SVM solves the standard soft-margin dual over a precomputed kernel with
 pairwise (SMO-style) updates on the maximal violating pair, deterministic
 tie-breaking, and the usual box plus equality constraints.
@@ -12,8 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .kernel import GramMatrix
 
 DEFAULT_TOL = 1e-3
 MAX_SMO_STEPS = 100_000
@@ -141,12 +143,12 @@ def default_bandwidth(train_features) -> float:
     return 1.0 / (mat.shape[1] * var)
 
 
-def gaussian_gram(X_rows, X_cols, alpha: float | None = None) -> GramMatrix:
+def gaussian_gram(X_rows, X_cols, alpha: float | None = None) -> np.ndarray:
     """exp(-alpha * ||x - x'||^2) kernel matrix.
 
     When ``alpha`` is omitted it defaults to :func:`default_bandwidth` of
-    ``X_cols`` (the training side). The matrix kind is train when both sides
-    are the same array.
+    ``X_cols`` (the training side). When both sides are the same array the
+    matrix is a train Gram: symmetrised, with a unit diagonal.
     """
     rows = np.asarray(X_rows, dtype=np.float64)
     cols = np.asarray(X_cols, dtype=np.float64)
@@ -161,15 +163,10 @@ def gaussian_gram(X_rows, X_cols, alpha: float | None = None) -> GramMatrix:
     )
     np.maximum(sq, 0.0, out=sq)
     K = np.exp(-alpha * sq)
-    kind = "train" if X_rows is X_cols else "test"
-    if kind == "train":
+    if X_rows is X_cols:
         K = 0.5 * (K + K.T)
         np.fill_diagonal(K, 1.0)
-    return GramMatrix(K, kind)
-
-
-def _kernel_entries(K) -> np.ndarray:
-    return K.entries if isinstance(K, GramMatrix) else np.asarray(K, dtype=np.float64)
+    return K
 
 
 def svm_train(
@@ -186,7 +183,7 @@ def svm_train(
     violation gap drops to ``tol``. Raises :class:`ConvergenceError` after
     ``MAX_SMO_STEPS`` pair updates.
     """
-    K = _kernel_entries(K_train)
+    K = np.asarray(K_train, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = y.size
     if K.shape != (n, n):
@@ -265,7 +262,7 @@ def svm_train(
 
 def decision_scores(model: SvmModel, K_eval) -> np.ndarray:
     """score_j = sum_i dual_coefs_i * K_eval[j, i] + bias."""
-    K = _kernel_entries(K_eval)
+    K = np.asarray(K_eval, dtype=np.float64)
     if K.ndim != 2 or K.shape[1] != model.dual_coefs.size:
         raise ValueError(
             f"evaluation kernel must have {model.dual_coefs.size} columns, got {K.shape}"

@@ -15,7 +15,6 @@ import pytest
 from mpskernel.ansatz import FeatureMapConfig, build_circuit, encode_circuit
 from mpskernel.cli import SyntheticSpec, generate_blobs
 from mpskernel.kernel import (
-    GramMatrix,
     RunReport,
     compute_gram,
     make_schedule,
@@ -61,7 +60,7 @@ def oracle_runs():
         gram = compute_gram(states, states, "train")
         dense = gram_dense([np.asarray(statevector(encode_circuit(x, cfg))) for x in rows])
         runs.append({"cfg": cfg, "rows": rows, "states": states,
-                     "gram_error": float(np.abs(gram.entries - dense).max())})
+                     "gram_error": float(np.abs(gram - dense).max())})
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
@@ -127,14 +126,14 @@ def test_criterion_4_parallel_determinism():
                 sched = make_schedule(16, 16, k, strategy, "train")
                 train_grams[(strategy, k)] = run_distributed(
                     X, X, cfg, sched, report=report
-                ).entries
+                )
                 if strategy == "round_robin":
                     assert report.n_simulations == 16, "round robin must simulate N once"
                 sched_t = make_schedule(4, 16, k, strategy, "test")
                 rep_t = RunReport()
                 test_grams[(strategy, k)] = run_distributed(
                     X_test, X, cfg, sched_t, report=rep_t
-                ).entries
+                )
                 if strategy == "round_robin":
                     assert rep_t.n_simulations == 20
         ref_train = train_grams[("round_robin", 1)]
@@ -155,9 +154,9 @@ def test_criterion_5_gram_properties():
             X = rng.uniform(0.0, 2.0, (int(rng.integers(2, 7)), m))
             states = simulate_dataset(X, cfg)
             gram = compute_gram(states, states, "train")
-            assert np.array_equal(gram.entries, gram.entries.T)
-            assert np.allclose(np.diag(gram.entries), 1.0, atol=1e-10)
-            eigs = np.linalg.eigvalsh(0.5 * (gram.entries + gram.entries.T))
+            assert np.array_equal(gram, gram.T)
+            assert np.allclose(np.diag(gram), 1.0, atol=1e-10)
+            eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
             assert eigs.min() >= -1e-10
 
 
@@ -200,7 +199,7 @@ def test_criterion_7_monotone_chi_growth():
 def test_criterion_8_svm_correctness():
     with criterion(8, "SVM analytic model and separable-set AUC"):
         # exact two-point model
-        K = GramMatrix(np.eye(2), "train")
+        K = np.eye(2)
         model = svm_train(K, np.array([1, -1]), C=2.0)
         assert np.array_equal(model.dual_coefs, np.array([1.0, -1.0]))
         assert model.bias == 0.0

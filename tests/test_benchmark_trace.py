@@ -1,9 +1,10 @@
-"""The benchmark's traced mode still binds the program's public calls.
+"""The benchmark still runs against the program.
 
 ``perfbench/tracing.py`` wraps public functions by name and reads some of
 their parameters (``run_distributed``'s ``schedule`` and ``report``,
-``encode_circuit``'s ``x``). A rename there would otherwise show only as
-failed benchmark operations.
+``encode_circuit``'s ``x``), and ``perfbench/checks.py`` checks every
+workload's output files. A rename or an output the checks reject would
+otherwise show only as failed benchmark operations.
 """
 
 import json
@@ -11,7 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-OP = Path(__file__).resolve().parents[1] / "perfbench" / "op.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+OP = PERFBENCH / "op.py"
 
 
 def test_traced_counts_match_run_report(tmp_path):
@@ -27,3 +29,12 @@ def test_traced_counts_match_run_report(tmp_path):
         layers = result["layers"]
         counts = [layers["mps.states"], layers["mps.inner_products"]]
         assert result["report_counts"] == counts, workload
+
+
+def test_smoke_run_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "smoke: 0 failure(s)" in proc.stdout.splitlines(), proc.stdout

@@ -118,6 +118,20 @@ class TestExperiment:
                 assert np.array_equal(a, b), (run, name)
             assert r1["split"] == r["split"]
 
+    def test_gram_sidecars_record_kind_and_shape(self, tmp_path):
+        result = cmd_experiment(synthetic_cfg(), tmp_path)
+        n_train = len(result["split"]["train_indices"])
+        n_test = len(result["split"]["test_indices"])
+        for name, kind, shape in (
+            ("gram_train.csv", "train", (n_train, n_train)),
+            ("gram_test.csv", "test", (n_test, n_train)),
+        ):
+            meta = json.loads((tmp_path / f"{name}.json").read_text())
+            assert (meta["kind"], meta["rows"], meta["cols"]) == (kind, *shape), name
+        assert not {"kind", "rows", "cols"} & set(result["report"])
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert not {"kind", "rows", "cols"} & set(metrics["report"])
+
     def test_baseline_shares_split(self, tmp_path):
         result = cmd_experiment(synthetic_cfg(baseline=True), tmp_path)
         assert result["split"]["train_indices"] == sorted(result["split"]["train_indices"])
@@ -338,6 +352,20 @@ class TestMainEntry:
                          "--out", str(tmp_path / "pre.csv")])
             assert code == EXIT_VALIDATION, features
             assert "features" in capsys.readouterr().err, features
+        on_good = ["gram", "--data", str(good), "--features", "2", "--out-dir", str(tmp_path)]
+        for argv, message in (
+            ([*on_good, "--blobs", "4"], "blobs_per_class"),
+            ([*on_good, "--separation", "2"], "separation"),
+            ([*on_good, "--informative", "1"], "n_informative"),
+            ([*on_good, "--synthetic"], "both"),
+            (["preprocess", "--synthetic", "--features", "4", "--per-class", "150",
+              "--out", str(tmp_path / "pre.csv")], "synthetic.n_per_class"),
+            (["experiment", "--synthetic", "--features", "3", "--per-class", "1",
+              "--out-dir", str(tmp_path)], "no test rows"),
+        ):
+            code = main(argv)
+            assert code == EXIT_VALIDATION, argv
+            assert message in capsys.readouterr().err, argv
         config.write_text(json.dumps({**small, "c_grid": []}))
         code = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION

@@ -10,11 +10,9 @@ from mpskernel import kernel
 from mpskernel.ansatz import FeatureMapConfig
 from mpskernel.kernel import (
     STRATEGIES,
-    GramMatrix,
     RunReport,
     TileSchedule,
     compute_gram,
-    load_gram,
     make_schedule,
     run_distributed,
     save_gram,
@@ -66,23 +64,23 @@ class TestSimulateDataset:
 class TestComputeGram:
     def test_unit_diagonal(self, states):
         gram = compute_gram(states, states, "train")
-        assert np.allclose(np.diag(gram.entries), 1.0, atol=1e-10)
+        assert np.allclose(np.diag(gram), 1.0, atol=1e-10)
 
     def test_orthogonal_basis_states(self):
         a = init_state(2, "zero")
         b = init_state(2, "zero")
         apply_one_qubit(b, 0, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         gram = compute_gram([a, b], [a, b], "test")
-        assert gram.entries[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert gram[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_oracle(self, rows, states):
         gram = compute_gram(states, states, "train")
         dense = gram_dense([to_statevector(s) for s in states])
-        assert np.abs(gram.entries - dense).max() < 1e-10
+        assert np.abs(gram - dense).max() < 1e-10
 
     def test_symmetry_is_exact(self, states):
         gram = compute_gram(states, states, "train")
-        assert np.array_equal(gram.entries, gram.entries.T)
+        assert np.array_equal(gram, gram.T)
 
     def test_train_requires_same_states(self, rows, states):
         resimulated = simulate_dataset(rows, CFG)
@@ -125,7 +123,7 @@ class TestRunDistributed:
         serial = compute_gram(states, states, "train")
         sched = make_schedule(8, 8, 1, "round_robin", "train")
         gram = run_distributed(rows, rows, CFG, sched)
-        assert np.array_equal(gram.entries, serial.entries)
+        assert np.array_equal(gram, serial)
 
     @pytest.mark.parametrize("strategy", ["round_robin", "no_messaging"])
     @pytest.mark.parametrize("k", [2, 4])
@@ -133,7 +131,7 @@ class TestRunDistributed:
         serial = compute_gram(states, states, "train")
         sched = make_schedule(8, 8, k, strategy, "train")
         gram = run_distributed(rows, rows, CFG, sched)
-        assert np.array_equal(gram.entries, serial.entries)
+        assert np.array_equal(gram, serial)
 
     def test_strategies_agree_on_test_kind(self, rows):
         rng = np.random.default_rng(3)
@@ -143,7 +141,7 @@ class TestRunDistributed:
             for k in (1, 2, 4):
                 sched = make_schedule(3, 8, k, strategy, "test")
                 gram = run_distributed(test_rows, rows, CFG, sched)
-                assert np.array_equal(gram.entries, serial.entries), (strategy, k)
+                assert np.array_equal(gram, serial), (strategy, k)
 
     def test_round_robin_simulation_count(self, rows):
         for k in (1, 2, 4):
@@ -166,14 +164,14 @@ class TestRunDistributed:
     def test_train_gram_is_psd(self, rows):
         sched = make_schedule(8, 8, 2, "round_robin", "train")
         gram = run_distributed(rows, rows, CFG, sched)
-        eigs = np.linalg.eigvalsh(0.5 * (gram.entries + gram.entries.T))
+        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         assert eigs.min() >= -1e-10
 
     def test_entries_in_unit_interval(self, rows):
         sched = make_schedule(8, 8, 3, "round_robin", "train")
         gram = run_distributed(rows, rows, CFG, sched)
-        assert gram.entries.min() >= 0.0
-        assert gram.entries.max() <= 1.0 + 1e-10
+        assert gram.min() >= 0.0
+        assert gram.max() <= 1.0 + 1e-10
 
     def test_mismatched_rows_rejected(self, rows):
         sched = make_schedule(8, 8, 2, "round_robin", "train")
@@ -225,8 +223,8 @@ class TestGramPersistence:
         gram = compute_gram(states, states, "train")
         path = tmp_path / "gram.csv"
         save_gram(gram, path, sidecar={"strategy": "round_robin", "k": 1, "N": 8})
-        loaded = load_gram(path, "train")
-        assert np.array_equal(loaded.entries, gram.entries)
+        loaded = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert np.array_equal(loaded, gram)
         assert (tmp_path / "gram.csv.json").exists()
 
     def test_sidecar_contents(self, tmp_path, states):
@@ -234,15 +232,16 @@ class TestGramPersistence:
 
         gram = compute_gram(states[:3], states[:3], "train")
         path = tmp_path / "g.csv"
-        save_gram(gram, path, sidecar={"strategy": "no_messaging", "k": 2, "N": 3})
+        sidecar = {"kind": "train", "strategy": "no_messaging", "k": 2, "N": 3}
+        save_gram(gram, path, sidecar=sidecar)
         meta = json.loads((tmp_path / "g.csv.json").read_text())
         assert meta["kind"] == "train"
         assert meta["rows"] == 3 and meta["cols"] == 3
         assert meta["strategy"] == "no_messaging"
 
     def test_single_row_matrix(self, tmp_path):
-        gram = GramMatrix(np.array([[1.0, 0.25]]), "test")
+        gram = np.array([[1.0, 0.25]])
         path = tmp_path / "one.csv"
         save_gram(gram, path)
-        loaded = load_gram(path, "test")
-        assert loaded.entries.shape == (1, 2)
+        loaded = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert loaded.shape == (1, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpskernel.kernel import GramMatrix, load_gram, save_gram
+from mpskernel.kernel import save_gram
 from mpskernel.learn import (
     ConvergenceError,
     Dataset,
@@ -85,28 +85,28 @@ class TestGaussianGram:
     def test_zero_distance_gives_one(self):
         X = np.array([[0.3, 0.4]])
         gram = gaussian_gram(X, X, alpha=1.0)
-        assert gram.entries[0, 0] == 1.0
+        assert gram[0, 0] == 1.0
 
     def test_hand_evaluated_entry(self):
         rows = np.array([[0.0, 0.0]])
         cols = np.array([[1.0, 1.0]])
         gram = gaussian_gram(rows, cols, alpha=0.5)
-        assert gram.entries[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert gram[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_default_bandwidth(self):
         X = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert default_bandwidth(X) == pytest.approx(0.5, rel=1e-12)
         gram = gaussian_gram(X, X)
-        assert gram.entries[0, 1] == pytest.approx(np.exp(-0.5 * 8.0), rel=1e-12)
+        assert gram[0, 1] == pytest.approx(np.exp(-0.5 * 8.0), rel=1e-12)
 
     def test_train_kind_symmetric_psd(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 2, (12, 4))
         gram = gaussian_gram(X, X)
-        assert gram.kind == "train"
-        assert np.array_equal(gram.entries, gram.entries.T)
-        assert np.allclose(np.diag(gram.entries), 1.0)
-        assert np.linalg.eigvalsh(gram.entries).min() >= -1e-10
+        assert gram.shape == (12, 12)
+        assert np.array_equal(gram, gram.T)
+        assert np.allclose(np.diag(gram), 1.0)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-10
 
     def test_non_positive_alpha_rejected(self):
         X = np.zeros((2, 2))
@@ -116,7 +116,7 @@ class TestGaussianGram:
 
 class TestSvmTrain:
     def test_two_point_analytic_model(self):
-        K = GramMatrix(np.eye(2), "train")
+        K = np.eye(2)
         labels = np.array([1, -1])
         model = svm_train(K, labels, C=2.0)
         assert np.array_equal(model.dual_coefs, np.array([1.0, -1.0]))
@@ -153,8 +153,8 @@ class TestSvmTrain:
         K = gaussian_gram(X, X, alpha=0.5)
         model = svm_train(K, y, C=1.0, tol=1e-6)
         alpha = model.dual_coefs * y
-        ours = svm_dual_objective(K.entries, y, alpha)
-        grid_best = svm_grid_best_objective(K.entries, y, C=1.0, points=13)
+        ours = svm_dual_objective(K, y, alpha)
+        grid_best = svm_grid_best_objective(K, y, C=1.0, points=13)
         assert ours >= grid_best - 1e-6
 
     def test_kkt_feasibility(self):
@@ -186,15 +186,15 @@ class TestSvmTrain:
         gram = gaussian_gram(X, X)
         path = tmp_path / "k.csv"
         save_gram(gram, path)
-        loaded = load_gram(path, "train")
-        assert np.array_equal(loaded.entries, gram.entries)
+        loaded = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert np.array_equal(loaded, gram)
         a = svm_train(gram, y, C=1.0)
         b = svm_train(loaded, y, C=1.0)
         assert np.array_equal(a.dual_coefs, b.dual_coefs)
         assert a.bias == b.bias
 
     def test_invalid_inputs_rejected(self):
-        K = GramMatrix(np.eye(3), "train")
+        K = np.eye(3)
         with pytest.raises(ValueError, match="labels"):
             svm_train(K, np.array([1, 0, -1]), C=1.0)
         with pytest.raises(ValueError, match="symmetric"):
@@ -220,7 +220,7 @@ class TestSvmTrain:
 
 class TestDecisionScores:
     def test_zero_kernel_row_returns_bias(self):
-        K = GramMatrix(np.eye(2), "train")
+        K = np.eye(2)
         model = svm_train(K, np.array([1, -1]), C=2.0)
         scores = decision_scores(model, np.zeros((3, 2)))
         assert np.allclose(scores, model.bias)
@@ -240,7 +240,7 @@ class TestDecisionScores:
             assert np.allclose(decision_scores(model, K_perturbed), base)
 
     def test_shape_mismatch_rejected(self):
-        K = GramMatrix(np.eye(2), "train")
+        K = np.eye(2)
         model = svm_train(K, np.array([1, -1]), C=1.0)
         with pytest.raises(ValueError, match="columns"):
             decision_scores(model, np.zeros((3, 5)))
