@@ -25,18 +25,15 @@ from .learn import (
     evaluate,
     gaussian_gram,
     rescale,
-    split,
     svm_train,
 )
 from .mps import (
     MpsState,
-    SimStats,
     apply_gate,
     canonicalize,
     init_state,
     inner_product,
     simulate_circuit,
-    stats,
     to_statevector,
 )
 from .tensor import SvdResult, svd_truncated

@@ -110,6 +110,8 @@ def _load_raw(cfg: ExperimentConfig) -> learn.Dataset:
 def _select(cfg: ExperimentConfig, n_per_class: int | None) -> learn.Dataset:
     """Load the rows, then take the first m feature columns and a balanced
     seeded sample of ``n_per_class`` rows per class (all rows if None)."""
+    if n_per_class is not None and n_per_class < 1:
+        raise ValueError(f"n_per_class must be at least 1, got {n_per_class}")
     dataset = _load_raw(cfg)
     if not 1 <= cfg.m <= dataset.m:
         raise ValueError(f"requested {cfg.m} features; need 1 to {dataset.m}")
@@ -155,8 +157,8 @@ def _metric_rows(K_train, K_test, train_labels, test_labels, grid):
             {
                 "C": float(C),
                 "n_support": int(model.support_indices.size),
-                "train": train_metrics.to_dict(),
-                "test": test_metrics.to_dict(),
+                "train": asdict(train_metrics),
+                "test": asdict(test_metrics),
             }
         )
         models.append(model)
@@ -287,7 +289,7 @@ def cmd_benchmark(cfg: ExperimentConfig, samples: int, out_dir: str) -> dict:
         state = mps.simulate_circuit(circuit, budget=cfg.budget, memory_log=log)
         sim_times.append(time.perf_counter() - t0)
         states.append(state)
-        max_chis.append(mps.stats(state).max_chi)
+        max_chis.append(state.peak_chi)
         memory_series.append(log)
 
     ip_times = []
@@ -390,6 +392,8 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
                 )
             setattr(cfg.synthetic, key, value)
     cfg.strategy = cfg.strategy.replace("-", "_")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class Metrics:
     precision: float
     recall: float
     auc: float
-    roc_points: list[tuple[float, float]] = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "auc": self.auc,
-        }
 
 
 def rescale(train_features, other_features):
@@ -122,15 +112,6 @@ def split_indices(labels, train_fraction: float = 0.8, seed: int = 0):
         test_idx.extend(order[n_train:].tolist())
     return np.sort(np.array(train_idx, dtype=np.int64)), np.sort(
         np.array(test_idx, dtype=np.int64)
-    )
-
-
-def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0):
-    """Split a dataset into class-balanced train and test parts."""
-    tr, te = split_indices(dataset.labels, train_fraction, seed)
-    return (
-        Dataset(dataset.features[tr], dataset.labels[tr]),
-        Dataset(dataset.features[te], dataset.labels[te]),
     )
 
 
@@ -271,11 +252,11 @@ def decision_scores(model: SvmModel, K_eval) -> np.ndarray:
 
 
 def evaluate(scores, labels) -> Metrics:
-    """Metrics at threshold 0 plus the full ROC sweep and its trapezoidal area.
+    """Metrics at threshold 0, and the AUC as the trapezoidal area of the ROC sweep.
 
-    Ties in the scores advance the ROC diagonally, which makes the area equal
-    to the probability that a positive outscores a negative with half credit
-    for ties.
+    The sweep runs over the distinct scores, descending. Ties in the scores
+    advance the ROC diagonally, which makes the area equal to the probability
+    that a positive outscores a negative with half credit for ties.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -316,7 +297,6 @@ def evaluate(scores, labels) -> Metrics:
         precision=float(precision),
         recall=float(tpr_at),
         auc=auc,
-        roc_points=list(zip(fpr.tolist(), tpr.tolist())),
     )
 
 
@@ -335,8 +315,11 @@ def _parse_label(raw: str, path, line: int) -> int:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV: header row, a ``class`` label column, numeric features."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a dataset CSV: header row, one ``class`` label column, numeric features.
+
+    A leading UTF-8 byte order mark, as spreadsheet programs write, is skipped.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -344,6 +327,8 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: empty file") from None
         if LABEL_COLUMN not in header:
             raise ValueError(f"{path}: missing required label column {LABEL_COLUMN!r}")
+        if header.count(LABEL_COLUMN) > 1:
+            raise ValueError(f"{path}: header repeats the label column {LABEL_COLUMN!r}")
         label_pos = header.index(LABEL_COLUMN)
         rows = []
         labels = []
@@ -373,17 +358,14 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
             writer.writerow([f"{v:.17g}" for v in row] + [str(int(label))])
 
 
-def model_to_dict(model: SvmModel) -> dict:
-    return {
+def save_model_json(path, model: SvmModel) -> None:
+    payload = {
         "dual_coefs": model.dual_coefs.tolist(),
         "bias": model.bias,
         "C": model.C,
         "tol": model.tol,
         "support_indices": model.support_indices.tolist(),
     }
-
-
-def save_model_json(path, model: SvmModel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")

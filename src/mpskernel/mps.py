@@ -28,7 +28,6 @@ from .tensor import svd_truncated
 # entries track an exact simulation to better than 1e-10; loosen it (1e-16 is
 # a common choice) to trade a little accuracy for smaller bond dimensions.
 DEFAULT_TRUNC_BUDGET = 1e-24
-_UNITARY_ATOL = 1e-10
 _MAX_DENSE_QUBITS = 20
 _MAGIC = b"MPS1"
 # MPO tensor (1, out, in, s) of the projectors (1 + s X) / 2 onto X = s, s = +1, -1
@@ -44,8 +43,12 @@ class MpsState:
     ``ortho_center`` names the site whose flanks are left/right isometries,
     or None when the gauge is unknown. ``accumulated_discard`` is the running
     sum of squared singular values removed by gate truncations and never
-    decreases. ``gate_count_2q`` counts truncating splits: one per adjacent
-    two-qubit gate and one per bond a fan-out spans.
+    decreases. ``peak_chi`` is the largest bond any truncating split has kept;
+    every bond is made by such a split and QR sweeps never grow one, so it
+    bounds every bond of the state. ``gate_count_2q`` counts truncating
+    splits: one per adjacent two-qubit gate and one per bond a fan-out spans.
+    ``timings`` holds wall seconds per phase, and ``entry_count()`` times 16
+    is the state's memory in bytes.
     """
 
     sites: list[np.ndarray]
@@ -61,40 +64,11 @@ class MpsState:
     def m(self) -> int:
         return len(self.sites)
 
-    def bond_dims(self) -> list[int]:
-        """Virtual bond dimensions including the two trivial boundary bonds."""
-        return [t.shape[0] for t in self.sites] + [self.sites[-1].shape[2]]
-
-    def max_bond(self) -> int:
-        return max(self.bond_dims())
-
     def entry_count(self) -> int:
         return sum(t.size for t in self.sites)
 
-    def copy(self) -> "MpsState":
-        return MpsState(
-            sites=[t.copy() for t in self.sites],
-            trunc_budget_per_gate=self.trunc_budget_per_gate,
-            accumulated_discard=self.accumulated_discard,
-            ortho_center=self.ortho_center,
-            peak_chi=self.peak_chi,
-            gate_count_1q=self.gate_count_1q,
-            gate_count_2q=self.gate_count_2q,
-            timings=dict(self.timings),
-        )
-
     def _tick(self, phase: str, t0: float) -> None:
         self.timings[phase] = self.timings.get(phase, 0.0) + (time.perf_counter() - t0)
-
-
-@dataclass(frozen=True)
-class SimStats:
-    max_chi: int
-    entry_count: int
-    memory_bytes: int
-    gate_count_1q: int
-    gate_count_2q: int
-    wall_time_per_phase: dict[str, float]
 
 
 def init_state(m: int, basis: str = "zero", trunc_budget_per_gate: float = DEFAULT_TRUNC_BUDGET) -> MpsState:
@@ -146,23 +120,6 @@ def canonicalize(state: MpsState, center: int) -> MpsState:
     state.ortho_center = center
     state._tick("canonicalize", t0)
     return state
-
-
-def _check_unitary(u: np.ndarray) -> None:
-    eye = np.eye(u.shape[0])
-    if not np.allclose(u.conj().T @ u, eye, atol=_UNITARY_ATOL):
-        raise ValueError("gate matrix is not unitary")
-
-
-def apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
-    """Contract a 2x2 unitary with the site tensor of qubit ``q``."""
-    if not 0 <= q < state.m:
-        raise ValueError(f"qubit {q} out of range")
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (2, 2):
-        raise ValueError("single-qubit gate must be a 2x2 matrix")
-    _check_unitary(matrix)
-    return _apply_one_qubit(state, q, matrix)
 
 
 def _apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
@@ -378,19 +335,6 @@ def to_statevector(state: MpsState) -> np.ndarray:
     for site in state.sites[1:]:
         acc = np.tensordot(acc, site, axes=(1, 0)).reshape(acc.shape[0] * 2, -1)
     return acc.reshape(-1)
-
-
-def stats(state: MpsState) -> SimStats:
-    """Resource counters for the state; memory is entry count times 16 bytes."""
-    n = state.entry_count()
-    return SimStats(
-        max_chi=max(state.peak_chi, state.max_bond()),
-        entry_count=n,
-        memory_bytes=16 * n,
-        gate_count_1q=state.gate_count_1q,
-        gate_count_2q=state.gate_count_2q,
-        wall_time_per_phase=dict(state.timings),
-    )
 
 
 def serialize_state(state: MpsState) -> bytes:

@@ -21,8 +21,8 @@ from mpskernel.kernel import (
     run_distributed,
     simulate_dataset,
 )
-from mpskernel.learn import decision_scores, evaluate, rescale, split, svm_train
-from mpskernel.mps import inner_product, simulate_circuit, stats
+from mpskernel.learn import decision_scores, evaluate, rescale, split_indices, svm_train
+from mpskernel.mps import inner_product, simulate_circuit
 
 from oracles import auc_pairwise, gram_dense, statevector
 
@@ -172,9 +172,9 @@ def test_criterion_6_bond_dimension_at_scale():
         t0 = time.perf_counter()
         state = simulate_circuit(encode_circuit(X[0], cfg))
         elapsed = time.perf_counter() - t0
-        st = stats(state)
-        assert st.max_chi <= 4, f"max chi {st.max_chi}"
-        assert st.memory_bytes < 15 * 1024, f"memory {st.memory_bytes} bytes"
+        memory_bytes = 16 * state.entry_count()
+        assert state.peak_chi <= 4, f"max chi {state.peak_chi}"
+        assert memory_bytes < 15 * 1024, f"memory {memory_bytes} bytes"
         assert elapsed < 60.0, f"simulation took {elapsed:.1f}s"
 
 
@@ -191,7 +191,7 @@ def test_criterion_7_monotone_chi_growth():
                 # quoted for; the trend is budget-independent but tighter
                 # budgets make d=6 much slower
                 state = simulate_circuit(encode_circuit(x, cfg), budget=1e-16)
-                chis.append(stats(state).max_chi)
+                chis.append(state.peak_chi)
             medians.append(float(np.median(chis)))
         assert medians[0] < medians[1] < medians[2], medians
 
@@ -205,16 +205,17 @@ def test_criterion_8_svm_correctness():
         assert model.bias == 0.0
 
         ds = generate_blobs(SyntheticSpec(n_per_class=100, separation=6.0), m=15, seed=17)
-        train, test = split(ds, 0.8, seed=17)
-        X_train, X_test, _ = rescale(train.features, test.features)
+        tr, te = split_indices(ds.labels, 0.8, seed=17)
+        X_train, X_test, _ = rescale(ds.features[tr], ds.features[te])
+        y_train, y_test = ds.labels[tr], ds.labels[te]
 
         # brute-force nearest-centroid sanity baseline
-        mu_pos = X_train[train.labels == 1].mean(axis=0)
-        mu_neg = X_train[train.labels == -1].mean(axis=0)
+        mu_pos = X_train[y_train == 1].mean(axis=0)
+        mu_neg = X_train[y_train == -1].mean(axis=0)
         centroid_scores = ((X_test - mu_neg) ** 2).sum(axis=1) - (
             (X_test - mu_pos) ** 2
         ).sum(axis=1)
-        centroid = evaluate(centroid_scores, test.labels)
+        centroid = evaluate(centroid_scores, y_test)
         assert centroid.auc >= 0.95, f"baseline AUC {centroid.auc:.3f}"
 
         cfg = FeatureMapConfig(15, 2, 1, 0.1)
@@ -226,11 +227,11 @@ def test_criterion_8_svm_correctness():
         )
         best_auc = 0.0
         for C in np.geomspace(0.01, 4.0, 8):
-            model = svm_train(g_train, train.labels, float(C))
+            model = svm_train(g_train, y_train, float(C))
             scores = decision_scores(model, g_test)
-            metrics = evaluate(scores, test.labels)
+            metrics = evaluate(scores, y_test)
             assert metrics.auc == pytest.approx(
-                auc_pairwise(scores, test.labels), abs=1e-12
+                auc_pairwise(scores, y_test), abs=1e-12
             )
             best_auc = max(best_auc, metrics.auc)
         assert best_auc >= 0.95, f"quantum AUC {best_auc:.3f}"

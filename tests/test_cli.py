@@ -314,6 +314,7 @@ class TestMainEntry:
         for name, text, message in (
             ("feature.csv", "a,b,class\n1,2,1\n2,x,-1\n", "line 3"),
             ("header.csv", "a,b,class\n", "no data rows"),
+            ("twice.csv", "a,class,class\n1,1,1\n2,-1,-1\n", "repeats the label column 'class'"),
         ):
             (tmp_path / name).write_text(text)
             code = main(["gram", "--data", str(tmp_path / name), "--features", "2",
@@ -339,12 +340,14 @@ class TestMainEntry:
             {**small, "gamma": 1e308},
             {**small, "gamma": 10**400},
             {**small, "budget": 10**400},
+            {**small, "seed": -5},
         ):
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(raw))
             code = main(["gram", "--config", str(config), "--out-dir", str(tmp_path)])
             assert code == EXIT_VALIDATION
-        capsys.readouterr()
+        # the last config's error names its negative seed
+        assert "seed" in capsys.readouterr().err.splitlines()[-1]
         good = tmp_path / "good.csv"
         good.write_text("a,b,class\n1,2,1\n2,3,-1\n")
         for features in ("-1", "0"):
@@ -362,6 +365,11 @@ class TestMainEntry:
               "--out", str(tmp_path / "pre.csv")], "synthetic.n_per_class"),
             (["experiment", "--synthetic", "--features", "3", "--per-class", "1",
               "--out-dir", str(tmp_path)], "no test rows"),
+            (["preprocess", "--synthetic", "--features", "4", "--per-class", "-1",
+              "--out", str(tmp_path / "pre.csv")], "n_per_class"),
+            (["preprocess", "--synthetic", "--features", "4", "--per-class", "0",
+              "--out", str(tmp_path / "pre.csv")], "n_per_class"),
+            ([*on_good, "--seed", "-5"], "seed"),
         ):
             code = main(argv)
             assert code == EXIT_VALIDATION, argv

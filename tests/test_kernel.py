@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpskernel import kernel
-from mpskernel.ansatz import FeatureMapConfig
+from mpskernel.ansatz import FeatureMapConfig, Gate
 from mpskernel.kernel import (
     STRATEGIES,
     RunReport,
@@ -18,7 +18,7 @@ from mpskernel.kernel import (
     save_gram,
     simulate_dataset,
 )
-from mpskernel.mps import apply_one_qubit, init_state, inner_product, to_statevector
+from mpskernel.mps import apply_gate, init_state, inner_product, to_statevector
 
 from oracles import gram_dense
 
@@ -69,7 +69,7 @@ class TestComputeGram:
     def test_orthogonal_basis_states(self):
         a = init_state(2, "zero")
         b = init_state(2, "zero")
-        apply_one_qubit(b, 0, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        apply_gate(b, Gate("RXX", (0, 1), np.pi))  # |00> -> -i|11>
         gram = compute_gram([a, b], [a, b], "test")
         assert gram[0, 1] == pytest.approx(0.0, abs=1e-12)
 
