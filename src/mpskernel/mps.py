@@ -1,13 +1,15 @@
 """Matrix product state simulation of linear-chain quantum circuits.
 
-A state over ``m`` qubits is a chain of rank-3 site tensors with bonds
-(left virtual, physical 2, right virtual); the boundary virtual bonds have
-dimension 1. An adjacent two-qubit gate grows the shared virtual bond and is
-truncated back by one SVD within a per-gate error budget. A group of RXX
-gates that share a left qubit, at any distance, is applied without SWAPs as
-one fan-out: an exact MPO of bond dimension 2, compressed by one truncating
-SVD per bond it spans. Every truncating split draws on the same budget, and
-the discarded weight is accumulated on the state.
+A state over ``m`` qubits is a chain of rank-3 site tensors with bonds (left
+virtual, physical 2, right virtual); the boundary virtual bonds have dimension
+1. An adjacent two-qubit gate grows the shared virtual bond and is truncated
+back by one SVD within a per-gate error budget. A group of RXX gates that
+share a left qubit, at any distance, is applied without SWAPs as one fan-out:
+an exact MPO of bond dimension 2, compressed by one truncating SVD per bond it
+spans. Every truncating split draws on the same budget, and the discarded
+weight is accumulated on the state. Contractions are GEMMs on row-major views
+of the sites: one (l*2, 2*r) GEMM merges a gate pair, and an overlap takes two
+per site on a (bra bond, ket bond) environment.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _left_isometrize(state: MpsState, start: int, stop: int) -> None:
         chi_l, p, chi_r = state.sites[i].shape
         q, r = np.linalg.qr(state.sites[i].reshape(chi_l * p, chi_r))
         state.sites[i] = q.reshape(chi_l, p, q.shape[1])
-        state.sites[i + 1] = np.tensordot(r, state.sites[i + 1], axes=(1, 0))
+        state.sites[i + 1] = (r @ state.sites[i + 1].reshape(chi_r, -1)).reshape(len(r), p, -1)
 
 
 def _right_isometrize(state: MpsState, start: int, stop: int) -> None:
@@ -101,7 +103,8 @@ def _right_isometrize(state: MpsState, start: int, stop: int) -> None:
         chi_l, p, chi_r = state.sites[i].shape
         q, r = np.linalg.qr(state.sites[i].reshape(chi_l, p * chi_r).conj().T)
         state.sites[i] = q.conj().T.reshape(q.shape[1], p, chi_r)
-        state.sites[i - 1] = np.tensordot(state.sites[i - 1], r.conj().T, axes=(2, 0))
+        prev = state.sites[i - 1].reshape(-1, chi_l) @ r.conj().T
+        state.sites[i - 1] = prev.reshape(-1, p, len(r))
 
 
 def canonicalize(state: MpsState, center: int) -> MpsState:
@@ -125,7 +128,7 @@ def canonicalize(state: MpsState, center: int) -> MpsState:
 def _apply_one_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     t0 = time.perf_counter()
     # unitaries preserve the isometry flanks, so the center does not move
-    state.sites[q] = np.tensordot(matrix, state.sites[q], axes=(1, 1)).transpose(1, 0, 2)
+    state.sites[q] = matrix @ state.sites[q]  # broadcast over the left bond
     state.gate_count_1q += 1
     state._tick("one_qubit", t0)
     return state
@@ -147,18 +150,16 @@ def _center_into(state: MpsState, lo: int, hi: int) -> None:
 def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
     """Apply a 4x4 unitary (basis |q, q+1>) to the adjacent pair (q, q+1).
 
-    The center is first moved into the pair. The pair is contracted with the
-    gate and split by one truncating SVD; the singular values are absorbed
-    into site q+1, which leaves the center there.
+    The center is first moved into the pair, one (l*2, 2*r) GEMM merges it,
+    the gate multiplies its (l, 4, r) view and one truncating SVD splits it;
+    the singular values go into site q+1, which leaves the center there.
     """
     _center_into(state, q, q + 1)
     t0 = time.perf_counter()
-    theta = np.tensordot(state.sites[q], state.sites[q + 1], axes=(2, 0))  # l p0 p1 r
-    g = matrix.reshape(2, 2, 2, 2)
-    theta = np.tensordot(g, theta, axes=((2, 3), (1, 2)))  # p0' p1' l r
-    theta = theta.transpose(2, 0, 1, 3)
-
-    left, s, right = _truncate(state, theta, 2)
+    a, b = state.sites[q], state.sites[q + 1]
+    theta = a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)  # (l p0, p1 r)
+    theta = matrix @ theta.reshape(a.shape[0], 4, b.shape[2])  # l p0'p1' r
+    left, s, right = _truncate(state, theta.reshape(a.shape[0], 2, 2, b.shape[2]), 2)
     state.sites[q] = left
     state.sites[q + 1] = s[:, None, None] * right
     state.ortho_center = q + 1
@@ -220,7 +221,8 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
     for k in range(last, i, -1):
         left, s, right = _truncate(state, state.sites[k], 1)
         state.sites[k] = right
-        state.sites[k - 1] = np.tensordot(state.sites[k - 1], left * s, axes=(2, 0))
+        prev = state.sites[k - 1].reshape(-1, len(left)) @ (left * s)
+        state.sites[k - 1] = prev.reshape(-1, 2, s.size)
     state.ortho_center = i
     state._tick("two_qubit", t0)
     return state
@@ -228,8 +230,7 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
 
 def _x_rotations(angle: float) -> np.ndarray:
     """MPO tensor (bond s, out, in, bond s) holding exp(-i s angle X / 2) for s = +1, -1."""
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     w = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     for n, sign in enumerate((1.0, -1.0)):
         w[n, :, :, n] = [[c, -1j * sign * s], [-1j * sign * s, c]]
@@ -283,15 +284,13 @@ def run_circuit(state: MpsState, circuit: Circuit, memory_log: list[int] | None 
     """Apply every gate of ``circuit``; RXX gates need not be adjacent.
 
     Each maximal run of consecutive RXX gates is applied one left qubit ``i``
-    at a time, in order of ``i``. A lone RXX on (i, i+1) is an adjacent gate:
-    contracted, split once and truncated, leaving the center at i+1. Any
-    other group, the RXX gates from ``i`` to partners up to any distance, is
-    applied as one fan-out, an exact bond-2 MPO compressed by one truncating
-    split per bond it spans, with no SWAPs, leaving the center at i. Each
-    two-qubit step first moves the orthogonality center to the nearest site
-    of the window it rewrites. When ``memory_log`` is given, the state memory
-    in bytes is appended once per circuit gate, after the step that applied
-    it.
+    at a time, in order of ``i``: a lone RXX on (i, i+1) as an adjacent gate,
+    split once and leaving the center at i+1; any other group (partners at
+    any distance) as one fan-out, a bond-2 MPO split once per bond it spans
+    with no SWAPs, leaving the center at i. Each two-qubit step first moves
+    the center to the nearest site of the window it rewrites. When
+    ``memory_log`` is given, the state memory in bytes is appended once per
+    circuit gate, after the step that applied it.
     """
     if circuit.m != state.m:
         raise ValueError(f"circuit has {circuit.m} qubits, state has {state.m}")
@@ -317,13 +316,13 @@ def simulate_circuit(
 
 
 def inner_product(bra: MpsState, ket: MpsState) -> complex:
-    """<bra, ket> with the bra entries conjugated, contracted site by site."""
+    """<bra, ket>, bra conjugated: two GEMMs per site on a (bra bond, ket bond) environment."""
     if bra.m != ket.m:
         raise ValueError(f"qubit count mismatch: {bra.m} vs {ket.m}")
     env = np.ones((1, 1), dtype=np.complex128)
     for a, b in zip(bra.sites, ket.sites):
-        tmp = np.tensordot(env, a.conj(), axes=(0, 0))  # ket-bond p bra-bond'
-        env = np.tensordot(tmp, b, axes=((0, 1), (0, 1)))  # bra-bond' ket-bond'
+        t = (env @ b.reshape(b.shape[0], -1)).reshape(-1, b.shape[2])  # (bra-bond p, ket-bond')
+        env = a.reshape(-1, a.shape[2]).conj().T @ t  # (bra-bond', ket-bond')
     return complex(env[0, 0])
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line pipeline: preprocess, experiment, gram, benchmark."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +435,17 @@ class TestMainEntry:
         )
         assert code == EXIT_NONCONVERGENCE
         assert "did not converge" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_from_a_checkout(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "mpskernel", *argv],
+                capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+            )
+
+        assert run("--help").returncode == EXIT_OK
+        bad = run("gram", "--bogus")
+        assert bad.returncode == EXIT_VALIDATION
+        assert "unrecognized arguments: --bogus" in bad.stderr

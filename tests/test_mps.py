@@ -171,6 +171,20 @@ class TestInnerProduct:
         dense = np.vdot(statevector(c1), statevector(c2))
         assert abs(inner_product(s1, s2) - dense) < 1e-10
 
+    def test_unequal_bond_profiles_match_dense_oracle(self):
+        # bond-1 product bra against an entangled ket, both orders, and the
+        # d=3 / d=2 pair of test_matches_dense_oracle with bra and ket swapped
+        rng = np.random.default_rng(5)
+        c1 = random_feature_circuit(rng, 6, d=3, r=2)
+        c2 = random_feature_circuit(rng, 6, d=2, r=1)
+        s1, s2 = simulate_circuit(c1), simulate_circuit(c2)
+        assert s1.peak_chi > 2 and s1.peak_chi != s2.peak_chi
+        plus, v1, v2 = init_state(6, "plus"), statevector(c1), statevector(c2)
+        vplus = np.full(2**6, 2**-3, dtype=np.complex128)
+        cases = ((plus, s1, vplus, v1), (s1, plus, v1, vplus), (s2, s1, v2, v1))
+        for bra, ket, dense_bra, dense_ket in cases:
+            assert abs(inner_product(bra, ket) - np.vdot(dense_bra, dense_ket)) < 1e-12
+
     def test_qubit_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             inner_product(init_state(3), init_state(4))
