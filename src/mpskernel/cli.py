@@ -75,6 +75,8 @@ def generate_blobs(spec: SyntheticSpec, m: int, seed: int) -> learn.Dataset:
     shared direction in the informative subspace."""
     if spec.n_per_class < 1 or spec.blobs_per_class < 1:
         raise ValueError("synthetic generator needs at least one point and blob per class")
+    if not (math.isfinite(spec.separation) and spec.separation >= 0.0):
+        raise ValueError(f"separation must be finite and non-negative, got {spec.separation}")
     n_inf = m if spec.n_informative is None else spec.n_informative
     if not 1 <= n_inf <= m:
         raise ValueError("n_informative must lie in 1..m")

@@ -315,7 +315,7 @@ def _parse_label(raw: str, path, line: int) -> int:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV: header row, one ``class`` label column, numeric features.
+    """Read a dataset CSV: header row, one ``class`` label column, finite numeric features.
 
     A leading UTF-8 byte order mark, as spreadsheet programs write, is skipped.
     """
@@ -344,6 +344,8 @@ def load_dataset_csv(path) -> Dataset:
                 rows.append([float(v) for i, v in enumerate(record) if i != label_pos])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"{path}: line {reader.line_num}: features must be finite")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels))

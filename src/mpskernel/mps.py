@@ -5,11 +5,13 @@ virtual, physical 2, right virtual); the boundary virtual bonds have dimension
 1. An adjacent two-qubit gate grows the shared virtual bond and is truncated
 back by one SVD within a per-gate error budget. A group of RXX gates that
 share a left qubit, at any distance, is applied without SWAPs as one fan-out:
-an exact MPO of bond dimension 2, compressed by one truncating SVD per bond it
-spans. Every truncating split draws on the same budget, and the discarded
-weight is accumulated on the state. Contractions are GEMMs on row-major views
-of the sites: one (l*2, 2*r) GEMM merges a gate pair, and an overlap takes two
-per site on a (bra bond, ket bond) environment.
+an exact bond-2 MPO, diagonal in its bond, so each site it spans becomes two
+X-rotated copies of itself (side by side, block-diagonal, then stacked), and
+each doubled bond is split by one truncating SVD. Every truncating split draws
+on the same budget, and the discarded weight is accumulated on the state.
+Contractions are GEMMs on row-major views of the sites: one (l*2, 2*r) GEMM
+merges a gate pair, an overlap takes two per site on a (bra bond, ket bond)
+environment, and the dense export one per site.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from .tensor import svd_truncated
 DEFAULT_TRUNC_BUDGET = 1e-24
 _MAX_DENSE_QUBITS = 20
 _MAGIC = b"MPS1"
-# MPO tensor (1, out, in, s) of the projectors (1 + s X) / 2 onto X = s, s = +1, -1
-_X_PROJECTORS = 0.5 * np.array(
-    [[[1, 1], [1, -1]], [[1, -1], [1, 1]]], dtype=np.complex128
-)[None]
 
 
 @dataclass
@@ -189,13 +187,15 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
     """Apply RXX gates that share their left qubit i, at any distance.
 
     Every gate is diagonal in X on qubit i, so their product is the exact
-    bond-2 MPO sum_s P_s(i) (x) prod_j exp(-i s angles[j] X_j / 2), where P_s
-    projects qubit i onto X = s and angles[j] sums the angles of the gates on
-    (i, j). It is contracted into sites i..L, L the farthest partner, with
-    identities on the sites between that have none. The center is first moved
-    into i..L; a QR sweep from i then re-isometrizes the window up to L, and a
-    truncating SVD sweep back splits every bond from L down to i + 1, leaving
-    the center at i.
+    bond-2 MPO sum_s P_s(i) (x) prod_j u_j^s with P_s = (1 + s X) / 2,
+    u_j = exp(-i angles[j] X / 2) for the summed angle of the gates on (i, j),
+    and u^- = conj(u) as X is real. The MPO is diagonal in its bond, so on
+    sites i..L, L the farthest partner, site i becomes [P+ a, P- a] along its
+    right bond, each site between block-diag(u a, conj(u) a) (u = 1 with no
+    partner) and site L the two stacked along its left bond, MPO bond index
+    outermost. The center is first moved into i..L; a QR sweep from i then
+    re-isometrizes the window up to L, and a truncating SVD sweep back splits
+    every bond from L down to i + 1, leaving the center at i.
     """
     i = _left_qubit(step[0])
     angles: dict[int, float] = {}
@@ -207,16 +207,20 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
         raise ValueError(f"qubit {last} out of range for {state.m} sites")
     _center_into(state, i, last)
     t0 = time.perf_counter()
-    for k in range(i, last + 1):
-        w = _X_PROJECTORS if k == i else _x_rotations(angles.get(k, 0.0))
+    a = state.sites[i]  # X a is a[:, ::-1]: X flips the physical index
+    state.sites[i] = 0.5 * np.concatenate([a + a[:, ::-1], a - a[:, ::-1]], axis=2)
+    for k in range(i + 1, last + 1):
+        a = state.sites[k]
+        half = 0.5 * angles.get(k, 0.0)
+        ca, sxa = math.cos(half) * a, (1j * math.sin(half)) * a[:, ::-1]
+        plus, minus = ca - sxa, ca + sxa  # u a and conj(u) a
         if k == last:
-            w = w.sum(axis=3, keepdims=True)  # close the bond; w is diagonal in it
-        site = state.sites[k]
-        chi_l, _, chi_r = site.shape
-        t = np.tensordot(w, site, axes=(2, 1))  # a p' b l r
-        state.sites[k] = t.transpose(0, 3, 1, 2, 4).reshape(
-            w.shape[0] * chi_l, 2, w.shape[3] * chi_r
-        )
+            state.sites[k] = np.concatenate([plus, minus], axis=0)
+        else:
+            chi_l, _, chi_r = a.shape
+            state.sites[k] = np.zeros((2 * chi_l, 2, 2 * chi_r), dtype=np.complex128)
+            state.sites[k][:chi_l, :, :chi_r] = plus
+            state.sites[k][chi_l:, :, chi_r:] = minus
     _left_isometrize(state, i, last)
     for k in range(last, i, -1):
         left, s, right = _truncate(state, state.sites[k], 1)
@@ -226,15 +230,6 @@ def _apply_fan_out(state: MpsState, step: list[Gate]) -> MpsState:
     state.ortho_center = i
     state._tick("two_qubit", t0)
     return state
-
-
-def _x_rotations(angle: float) -> np.ndarray:
-    """MPO tensor (bond s, out, in, bond s) holding exp(-i s angle X / 2) for s = +1, -1."""
-    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    w = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-    for n, sign in enumerate((1.0, -1.0)):
-        w[n, :, :, n] = [[c, -1j * sign * s], [-1j * sign * s, c]]
-    return w
 
 
 def apply_gate(state: MpsState, gate: Gate) -> MpsState:
@@ -330,9 +325,9 @@ def to_statevector(state: MpsState) -> np.ndarray:
     """Amplitude vector of length 2^m, qubit 0 most significant."""
     if state.m > _MAX_DENSE_QUBITS:
         raise ValueError(f"refusing dense conversion beyond {_MAX_DENSE_QUBITS} qubits")
-    acc = state.sites[0].reshape(2, -1)
-    for site in state.sites[1:]:
-        acc = np.tensordot(acc, site, axes=(1, 0)).reshape(acc.shape[0] * 2, -1)
+    acc = np.ones((1, 1), dtype=np.complex128)  # (amplitudes so far, bond)
+    for site in state.sites:
+        acc = (acc @ site.reshape(site.shape[0], -1)).reshape(-1, site.shape[2])
     return acc.reshape(-1)
 
 
@@ -383,6 +378,8 @@ def deserialize_state(buf: bytes) -> MpsState:
     bonds = [1] + [t.shape[2] for t in sites]
     if not sites or bonds[-1] != 1 or any(t.shape[0] != b for t, b in zip(sites, bonds)):
         raise ValueError("site shapes do not form an open chain")
+    if peak < max(bonds):
+        raise ValueError(f"peak_chi {peak} is below the largest bond {max(bonds)}")
     if not -1 <= center < m:
         raise ValueError(f"center {center} out of range for {m} sites")
     if not (math.isfinite(budget) and budget >= 0 and math.isfinite(discard) and discard >= 0):

@@ -317,6 +317,8 @@ class TestMainEntry:
         assert "line 3" in capsys.readouterr().err
         for name, text, message in (
             ("feature.csv", "a,b,class\n1,2,1\n2,x,-1\n", "line 3"),
+            ("nan.csv", "a,b,class\n1,2,1\n2,nan,-1\n", "line 3"),
+            ("inf.csv", "a,b,class\n1e400,2,1\n2,3,-1\n", "line 2"),
             ("header.csv", "a,b,class\n", "no data rows"),
             ("twice.csv", "a,class,class\n1,1,1\n2,-1,-1\n", "repeats the label column 'class'"),
         ):
@@ -374,6 +376,10 @@ class TestMainEntry:
             (["preprocess", "--synthetic", "--features", "4", "--per-class", "0",
               "--out", str(tmp_path / "pre.csv")], "n_per_class"),
             ([*on_good, "--seed", "-5"], "seed"),
+            (["preprocess", "--synthetic", "--features", "4", "--separation", "nan",
+              "--out", str(tmp_path / "pre.csv")], "separation"),
+            (["preprocess", "--synthetic", "--features", "4", "--separation", "-1",
+              "--out", str(tmp_path / "pre.csv")], "separation"),
         ):
             code = main(argv)
             assert code == EXIT_VALIDATION, argv

@@ -305,14 +305,18 @@ class TestSerialization:
             + bytes(16 * 2)
         )
 
+        # a bond-2 state whose header peak_chi, bytes 28..32, is patched to 1
+        entangled = serialize_state(simulate_circuit(Circuit(3, [Gate("RXX", (0, 1), 0.7)])))
+        low_peak = entangled[:28] + struct.pack("<I", 1) + entangled[32:]
+
         def with_header(center=0, budget=1e-24, discard=0.0):
             head = struct.pack("<IddiIQQ", 3, budget, discard, center, 1, 0, 0)
             return blob[:4] + head + blob[4 + len(head):]
 
         # bare magic, short header, short site record, short entries, trailing
         # byte, zero sites, neighbouring sites whose bonds disagree, a center
-        # past the last site, and a budget or discard that is NaN, infinite or
-        # negative
+        # past the last site, a budget or discard that is NaN, infinite or
+        # negative, and a peak_chi below the largest bond
         for bad in (
             b"MPS1",
             blob[:20],
@@ -327,6 +331,7 @@ class TestSerialization:
             with_header(budget=-1.0),
             with_header(discard=-5.0),
             with_header(discard=float("inf")),
+            low_peak,
         ):
             with pytest.raises(ValueError):
                 deserialize_state(bad)
@@ -448,6 +453,19 @@ class TestFanOut:
             assert_isometries_around(state, 1)
             expected = statevector(Circuit(7, circuit.gates + fan_out.gates))
             assert np.allclose(to_statevector(state), expected, atol=1e-10)
+
+    def test_cancelling_angles_leave_the_state(self):
+        # the block sites double every bond of the window 1..4; as the angles
+        # cancel, the SVD sweep must find the added singular values below the
+        # noise floor and drop them with zero discard
+        x = np.random.default_rng(25).uniform(0.0, 2.0, 7)
+        before = simulate_circuit(build_circuit(x, FeatureMapConfig(7, 1, 2, 1.0)))
+        cancelling = Circuit(7, [Gate("RXX", (1, 2), 0.7), Gate("RXX", (1, 4), -0.9),
+                                 Gate("RXX", (4, 1), 0.9), Gate("RXX", (1, 2), -0.7)])
+        after = run_circuit(copy.deepcopy(before), cancelling)
+        assert [t.shape for t in after.sites] == [t.shape for t in before.sites]
+        assert after.accumulated_discard == before.accumulated_discard == 0.0
+        assert abs(abs(inner_product(before, after)) - 1.0) < 1e-12
 
     def test_memory_log_has_one_entry_per_built_gate(self):
         x = np.random.default_rng(22).uniform(0.0, 2.0, 7)
