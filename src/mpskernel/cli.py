@@ -185,6 +185,14 @@ def _sidecar(cfg: ExperimentConfig, n: int, report: kernel.RunReport) -> dict:
     }
 
 
+def _gram(cfg: ExperimentConfig, X_bras, X_kets, kind: str, report: kernel.RunReport) -> np.ndarray:
+    """A ``kind`` Gram of ``cfg``'s feature map, scheduled and then computed."""
+    sched = kernel.make_schedule(len(X_bras), len(X_kets), cfg.workers, cfg.strategy, kind)
+    return kernel.run_distributed(
+        X_bras, X_kets, cfg.feature_map(), sched, budget=cfg.budget, report=report
+    )
+
+
 def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full pipeline: split, rescale, simulate, Gram, C-grid SVM, metrics."""
     grid = cfg.grid()
@@ -204,21 +212,10 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     )
     y_train = dataset.labels[train_idx]
     y_test = dataset.labels[test_idx]
-    fmap = cfg.feature_map()
 
     report = kernel.RunReport()
-    sched_train = kernel.make_schedule(
-        len(X_train), len(X_train), cfg.workers, cfg.strategy, "train"
-    )
-    gram_train = kernel.run_distributed(
-        X_train, X_train, fmap, sched_train, budget=cfg.budget, report=report
-    )
-    sched_test = kernel.make_schedule(
-        len(X_test), len(X_train), cfg.workers, cfg.strategy, "test"
-    )
-    gram_test = kernel.run_distributed(
-        X_test, X_train, fmap, sched_test, budget=cfg.budget, report=report
-    )
+    gram_train = _gram(cfg, X_train, X_train, "train", report)
+    gram_test = _gram(cfg, X_test, X_train, "test", report)
 
     sidecar = _sidecar(cfg, int(dataset.n), report)
     kernel.save_gram(gram_train, out / "gram_train.csv", {**sidecar, "kind": "train"})
@@ -254,8 +251,7 @@ def cmd_gram(cfg: ExperimentConfig, out_dir: str) -> dict:
     dataset = _select(cfg, cfg.n_per_class)
     X, _, _ = learn.rescale(dataset.features, dataset.features)
     report = kernel.RunReport()
-    sched = kernel.make_schedule(len(X), len(X), cfg.workers, cfg.strategy, "train")
-    gram = kernel.run_distributed(X, X, cfg.feature_map(), sched, budget=cfg.budget, report=report)
+    gram = _gram(cfg, X, X, "train", report)
     sidecar = _sidecar(cfg, int(dataset.n), report)
     kernel.save_gram(gram, out / "gram.csv", {**sidecar, "kind": "train"})
     return sidecar

@@ -82,12 +82,14 @@ def rescale(train_features, other_features):
         raise ValueError("features must be finite")
     lo = train.min(axis=0)
     hi = train.max(axis=0)
-    span = hi - lo
-    constant = span == 0.0
+    # on halved values, so a range wider than the largest float cannot overflow
+    half_span = hi / 2 - lo / 2
+    constant = half_span == 0.0
 
     def apply(mat: np.ndarray) -> np.ndarray:
         out = np.empty_like(mat)
-        out[:, ~constant] = 2.0 * (mat[:, ~constant] - lo[~constant]) / span[~constant]
+        shifted = mat[:, ~constant] / 2 - lo[~constant] / 2
+        out[:, ~constant] = 2.0 * (shifted / half_span[~constant])
         out[:, constant] = 1.0
         return np.clip(out, 0.0, 2.0)
 
@@ -135,8 +137,8 @@ def gaussian_gram(X_rows, X_cols, alpha: float | None = None) -> np.ndarray:
     cols = np.asarray(X_cols, dtype=np.float64)
     if alpha is None:
         alpha = default_bandwidth(cols)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     sq = (
         np.sum(rows**2, axis=1)[:, None]
         + np.sum(cols**2, axis=1)[None, :]
@@ -173,8 +175,8 @@ def svm_train(
         raise ValueError("training kernel must be symmetric")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
 
     Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(n)

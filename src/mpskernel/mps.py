@@ -40,8 +40,8 @@ _MAGIC = b"MPS1"
 class MpsState:
     """Chain of site tensors plus truncation-error bookkeeping.
 
-    ``ortho_center`` names the site whose flanks are left/right isometries,
-    or None when the gauge is unknown. ``accumulated_discard`` is the running
+    ``ortho_center`` is the site index whose flanks are left/right
+    isometries; every state has one. ``accumulated_discard`` is the running
     sum of squared singular values removed by gate truncations and never
     decreases. ``peak_chi`` is the largest bond any truncating split has kept;
     every bond is made by such a split and QR sweeps never grow one, so it
@@ -52,9 +52,9 @@ class MpsState:
     """
 
     sites: list[np.ndarray]
+    ortho_center: int
     trunc_budget_per_gate: float = DEFAULT_TRUNC_BUDGET
     accumulated_discard: float = 0.0
-    ortho_center: int | None = None
     peak_chi: int = 1
     gate_count_1q: int = 0
     gate_count_2q: int = 0
@@ -83,7 +83,7 @@ def init_state(m: int, basis: str = "zero", trunc_budget_per_gate: float = DEFAU
         raise ValueError(f"unknown basis {basis!r}; use 'zero' or 'plus'")
     sites = [vec.reshape(1, 2, 1).copy() for _ in range(m)]
     # every site of a normalized product state is already an isometry
-    return MpsState(sites, trunc_budget_per_gate=trunc_budget_per_gate, ortho_center=0)
+    return MpsState(sites, ortho_center=0, trunc_budget_per_gate=trunc_budget_per_gate)
 
 
 def _left_isometrize(state: MpsState, start: int, stop: int) -> None:
@@ -111,10 +111,7 @@ def canonicalize(state: MpsState, center: int) -> MpsState:
         raise ValueError(f"center {center} out of range for {state.m} sites")
     t0 = time.perf_counter()
     current = state.ortho_center
-    if current is None:
-        _left_isometrize(state, 0, center)
-        _right_isometrize(state, state.m - 1, center)
-    elif current < center:
+    if current < center:
         _left_isometrize(state, current, center)
     elif current > center:
         _right_isometrize(state, current, center)
@@ -136,13 +133,11 @@ def _center_into(state: MpsState, lo: int, hi: int) -> None:
     """Move the orthogonality center onto the nearest site of ``lo..hi``.
 
     A step that rewrites only sites ``lo..hi`` needs the center somewhere
-    inside them (mixed-canonical form); an unknown gauge is fixed at ``lo``.
+    inside them (mixed-canonical form).
     """
-    center = state.ortho_center
-    if center is None or center < lo:
-        canonicalize(state, lo)
-    elif center > hi:
-        canonicalize(state, hi)
+    c = state.ortho_center
+    if not lo <= c <= hi:
+        canonicalize(state, min(max(c, lo), hi))
 
 
 def _apply_two_qubit(state: MpsState, q: int, matrix: np.ndarray) -> MpsState:
@@ -236,7 +231,8 @@ def apply_gate(state: MpsState, gate: Gate) -> MpsState:
     """Apply one circuit gate; two-qubit gates require adjacent qubits.
 
     A two-qubit gate on (q, q+1) first moves the center into the pair and
-    leaves it at q+1; a one-qubit gate does not move it.
+    leaves it at q+1; a one-qubit gate does not move it. RXX and SWAP are
+    unchanged by exchanging their qubits, so (q+1, q) applies as (q, q+1).
     """
     for q in gate.qubits:
         if not 0 <= q < state.m:
@@ -249,8 +245,6 @@ def apply_gate(state: MpsState, gate: Gate) -> MpsState:
         raise ValueError(
             f"two-qubit gate on ({a}, {b}) is not adjacent; route the circuit or use run_circuit"
         )
-    if a > b:
-        u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     return _apply_two_qubit(state, min(a, b), u)
 
 
@@ -332,8 +326,10 @@ def to_statevector(state: MpsState) -> np.ndarray:
 
 
 def serialize_state(state: MpsState) -> bytes:
-    """Binary form: header plus per-site shape and little-endian complex entries."""
-    center = -1 if state.ortho_center is None else state.ortho_center
+    """Binary form: header plus per-site shape and little-endian complex entries.
+
+    The header holds the orthogonality center as a site index.
+    """
     parts = [
         _MAGIC,
         struct.pack(
@@ -341,7 +337,7 @@ def serialize_state(state: MpsState) -> bytes:
             state.m,
             state.trunc_budget_per_gate,
             state.accumulated_discard,
-            center,
+            state.ortho_center,
             state.peak_chi,
             state.gate_count_1q,
             state.gate_count_2q,
@@ -380,7 +376,7 @@ def deserialize_state(buf: bytes) -> MpsState:
         raise ValueError("site shapes do not form an open chain")
     if peak < max(bonds):
         raise ValueError(f"peak_chi {peak} is below the largest bond {max(bonds)}")
-    if not -1 <= center < m:
+    if not 0 <= center < m:
         raise ValueError(f"center {center} out of range for {m} sites")
     if not (math.isfinite(budget) and budget >= 0 and math.isfinite(discard) and discard >= 0):
         raise ValueError(f"budget {budget} and discard {discard} must be finite and non-negative")
@@ -388,7 +384,7 @@ def deserialize_state(buf: bytes) -> MpsState:
         sites=sites,
         trunc_budget_per_gate=budget,
         accumulated_discard=discard,
-        ortho_center=None if center < 0 else center,
+        ortho_center=center,
         peak_chi=peak,
         gate_count_1q=g1,
         gate_count_2q=g2,

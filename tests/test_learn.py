@@ -27,6 +27,10 @@ class TestRescale:
         scaled, _, params = rescale(col, col)
         assert np.allclose(scaled.ravel(), [0.0, 1.0, 2.0])
         assert params == [(0.0, 10.0)]
+        # a range wider than the largest float
+        col = np.array([[-1e308], [0.0], [1e308]])
+        scaled, _, _ = rescale(col, col)
+        assert np.allclose(scaled.ravel(), [0.0, 1.0, 2.0])
 
     def test_constant_column_maps_to_midpoint(self):
         col = np.array([[7.0], [7.0], [7.0]])
@@ -109,8 +113,9 @@ class TestGaussianGram:
 
     def test_non_positive_alpha_rejected(self):
         X = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="positive"):
-            gaussian_gram(X, X, alpha=-1.0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                gaussian_gram(X, X, alpha=alpha)
 
 
 class TestSvmTrain:
@@ -198,8 +203,9 @@ class TestSvmTrain:
             svm_train(K, np.array([1, 0, -1]), C=1.0)
         with pytest.raises(ValueError, match="symmetric"):
             svm_train(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1, -1]), C=1.0)
-        with pytest.raises(ValueError, match="C"):
-            svm_train(K, np.array([1, -1, 1]), C=0.0)
+        for C in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="C"):
+                svm_train(K, np.array([1, -1, 1]), C=C)
 
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(12)

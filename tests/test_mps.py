@@ -94,7 +94,15 @@ class TestApplyGate:
             apply_gate(state, Gate("H", (2,)))
 
     def test_reversed_qubit_order_matches_dense(self):
-        circuit = Circuit(3, [Gate("H", (1,)), Gate("RXX", (2, 1), 0.9)])
+        circuit = Circuit(
+            3,
+            [
+                Gate("H", (1,)),
+                Gate("RZ", (1,), 0.4),
+                Gate("RXX", (2, 1), 0.9),
+                Gate("SWAP", (2, 1)),
+            ],
+        )
         state = simulate_circuit(circuit)
         assert np.allclose(to_statevector(state), statevector(circuit), atol=1e-10)
 
@@ -315,7 +323,7 @@ class TestSerialization:
 
         # bare magic, short header, short site record, short entries, trailing
         # byte, zero sites, neighbouring sites whose bonds disagree, a center
-        # past the last site, a budget or discard that is NaN, infinite or
+        # past the last site or negative, a budget or discard that is NaN, infinite or
         # negative, and a peak_chi below the largest bond
         for bad in (
             b"MPS1",
@@ -327,6 +335,7 @@ class TestSerialization:
             broken_bond,
             with_header(center=7),
             with_header(center=3),
+            with_header(center=-1),
             with_header(budget=float("nan")),
             with_header(budget=-1.0),
             with_header(discard=-5.0),
