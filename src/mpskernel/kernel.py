@@ -161,8 +161,7 @@ def save_gram(K: np.ndarray, csv_path, sidecar: dict | None = None) -> None:
     the matrix's ``rows`` and ``cols``.
     """
     with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in K:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, K, fmt="%.17g", delimiter=",")
     if sidecar is not None:
         meta = {**sidecar, "rows": K.shape[0], "cols": K.shape[1]}
         with open(str(csv_path) + ".json", "w", encoding="utf-8") as fh:

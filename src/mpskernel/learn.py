@@ -71,8 +71,8 @@ def rescale(train_features, other_features):
     """Per-feature min-max map onto [0, 2] using training-split extrema.
 
     Constant features map to the midpoint 1.0; the other split is clamped
-    into [0, 2] after the map. Returns (train, other, params) where params is
-    the per-feature (min, max) list.
+    into the training range before the map. Returns (train, other, params)
+    where params is the per-feature (min, max) list.
     """
     train = np.asarray(train_features, dtype=np.float64)
     other = np.asarray(other_features, dtype=np.float64)
@@ -82,23 +82,28 @@ def rescale(train_features, other_features):
         raise ValueError("features must be finite")
     lo = train.min(axis=0)
     hi = train.max(axis=0)
-    # on halved values, so a range wider than the largest float cannot overflow
-    half_span = hi / 2 - lo / 2
-    constant = half_span == 0.0
+    # columns beyond magnitude 1 are mapped on halved values, which is exact for
+    # them and keeps a range wider than the largest float finite; smaller ones,
+    # subnormal ones among them, are not halved and keep every bit
+    scale = np.where(np.maximum(-lo, hi) > 1.0, 0.5, 1.0)
+    constant = lo == hi
+    span = np.where(constant, 1.0, hi * scale - lo * scale)
 
     def apply(mat: np.ndarray) -> np.ndarray:
-        out = np.empty_like(mat)
-        shifted = mat[:, ~constant] / 2 - lo[~constant] / 2
-        out[:, ~constant] = 2.0 * (shifted / half_span[~constant])
+        out = 2.0 * ((np.clip(mat, lo, hi) * scale - lo * scale) / span)
         out[:, constant] = 1.0
-        return np.clip(out, 0.0, 2.0)
+        return out
 
     params = list(zip(lo.tolist(), hi.tolist()))
     return apply(train), apply(other), params
 
 
 def split_indices(labels, train_fraction: float = 0.8, seed: int = 0):
-    """Class-balanced train/test index split, deterministic per seed."""
+    """Class-balanced train/test index split, deterministic per seed.
+
+    Each class puts ``round(train_fraction * rows)`` of its rows in the train
+    split. Raises ``ValueError`` when a class would get no train or no test rows.
+    """
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
@@ -110,6 +115,12 @@ def split_indices(labels, train_fraction: float = 0.8, seed: int = 0):
         members = np.flatnonzero(labels == c)
         order = rng.permutation(members)
         n_train = int(round(train_fraction * members.size))
+        if not 0 < n_train < members.size:
+            part = "train" if n_train <= 0 else "test"
+            raise ValueError(
+                f"class {c} has {members.size} rows; train fraction {train_fraction} "
+                f"leaves it no {part} rows"
+            )
         train_idx.extend(order[:n_train].tolist())
         test_idx.extend(order[n_train:].tolist())
     return np.sort(np.array(train_idx, dtype=np.int64)), np.sort(
@@ -163,8 +174,9 @@ def svm_train(
 
     Repeatedly selects the maximal violating pair (ties broken by lowest
     index), solves the two-variable subproblem exactly, and stops once the
-    violation gap drops to ``tol``. Raises :class:`ConvergenceError` after
-    ``MAX_SMO_STEPS`` pair updates.
+    violation gap drops to ``tol``. Every step reads ``K_train`` itself; the
+    label-signed matrix of the dual is never formed. Raises
+    :class:`ConvergenceError` after ``MAX_SMO_STEPS`` pair updates.
     """
     K = np.asarray(K_train, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -178,7 +190,8 @@ def svm_train(
     if not (np.isfinite(C) and C > 0):
         raise ValueError(f"C must be finite and positive, got {C}")
 
-    Q = (y[:, None] * y[None, :]) * K
+    # Q_ij = y_i y_j K_ij is the dual's label-signed kernel; its factors are +-1,
+    # so the steps below read K and apply the signs exactly
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a^T Q a - sum(a)
 
@@ -203,7 +216,7 @@ def svm_train(
         if gap <= tol:
             break
         # exact solution of the two-variable subproblem along the constraint
-        quad = Q[i, i] + Q[j, j] - 2.0 * y[i] * y[j] * Q[i, j]
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
         quad = max(quad, 1e-300)
         delta = gap / quad
         if y[i] > 0:
@@ -216,7 +229,7 @@ def svm_train(
             delta = min(delta, C - alpha[j])
         alpha[i] += y[i] * delta
         alpha[j] -= y[j] * delta
-        grad += delta * (y[i] * Q[:, i] - y[j] * Q[:, j])
+        grad += delta * (y * (K[:, i] - K[:, j]))
         if objective_trace is not None:
             objective_trace.append(objective())
     else:
@@ -224,13 +237,12 @@ def svm_train(
             f"SMO did not converge within {MAX_SMO_STEPS} steps, final gap {gap:.3e}"
         )
 
-    minus_yg = -y * grad
+    # the loop only exits by a break, after computing minus_yg, up and low and
+    # before alpha changes, so they still hold for the final alpha
     free = (alpha > 0) & (alpha < C)
     if free.any():
         bias = float(np.mean(minus_yg[free]))
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
         hi = minus_yg[up].max() if up.any() else 0.0
         lo = minus_yg[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))
@@ -254,11 +266,12 @@ def decision_scores(model: SvmModel, K_eval) -> np.ndarray:
 
 
 def evaluate(scores, labels) -> Metrics:
-    """Metrics at threshold 0, and the AUC as the trapezoidal area of the ROC sweep.
+    """Metrics at threshold 0, and the AUC from the Mann-Whitney rank sum.
 
-    The sweep runs over the distinct scores, descending. Ties in the scores
-    advance the ROC diagonally, which makes the area equal to the probability
-    that a positive outscores a negative with half credit for ties.
+    The AUC is the probability that a positive outscores a negative, with half
+    credit for ties (Hanley & McNeil 1982). Tied scores share their average
+    rank; the rank sums are exact half-integers, so the final division is the
+    only rounding.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -282,17 +295,9 @@ def evaluate(scores, labels) -> Metrics:
     tnr_at = tn / n_neg
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
 
-    # ROC: sweep thresholds over distinct score values, descending
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = pos[order].astype(np.float64)
-    distinct = np.flatnonzero(np.diff(sorted_scores)) if scores.size > 1 else np.array([], dtype=int)
-    cut = np.concatenate([distinct, [scores.size - 1]])
-    tps = np.cumsum(sorted_pos)[cut]
-    fps = 1 + cut - tps
-    tpr = np.concatenate([[0.0], tps / n_pos])
-    fpr = np.concatenate([[0.0], fps / n_neg])
-    auc = float(0.5 * np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1])))
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    auc = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
     return Metrics(
         accuracy=float(accuracy),
         balanced_accuracy=float(0.5 * (tpr_at + tnr_at)),

@@ -31,6 +31,13 @@ class TestRescale:
         col = np.array([[-1e308], [0.0], [1e308]])
         scaled, _, _ = rescale(col, col)
         assert np.allclose(scaled.ravel(), [0.0, 1.0, 2.0])
+        # subnormal ranges keep every bit
+        col = np.array([[5e-324], [0.0]])
+        scaled, _, _ = rescale(col, col)
+        assert scaled.ravel().tolist() == [2.0, 0.0]
+        col = np.array([[1.5e-323], [0.0], [5e-324]])
+        scaled, _, _ = rescale(col, col)
+        assert scaled.ravel().tolist() == [2.0, 0.0, 2.0 * (5e-324 / 1.5e-323)]
 
     def test_constant_column_maps_to_midpoint(self):
         col = np.array([[7.0], [7.0], [7.0]])
@@ -42,6 +49,9 @@ class TestRescale:
         other = np.array([[12.0], [-3.0]])
         _, scaled_other, _ = rescale(train, other)
         assert np.allclose(scaled_other.ravel(), [2.0, 0.0])
+        # clamped before the map, so a row far outside cannot overflow
+        _, scaled_other, _ = rescale(np.array([[0.0], [0.5]]), np.array([[-1.7e308]]))
+        assert scaled_other.ravel().tolist() == [0.0]
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -82,6 +92,9 @@ class TestSplit:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
             split_indices(np.array([1, 1, 1, 1]), 0.8, seed=0)
+        # two rows per class at 0.8 put both in train
+        with pytest.raises(ValueError, match="class -1 has 2 rows.*no test rows"):
+            split_indices(np.array([1, 1, -1, -1]), 0.8, seed=0)
 
 
 class TestGaussianGram:
@@ -282,7 +295,11 @@ class TestEvaluate:
             if len(np.unique(labels)) < 2:
                 continue
             metrics = evaluate(scores, labels)
-            assert metrics.auc == pytest.approx(auc_pairwise(scores, labels), abs=1e-12)
+            assert metrics.auc == auc_pairwise(scores, labels)
+        # both have AUC exactly 1/5, so the first of them must not read lower
+        labels = np.array([1, 1, -1, -1, -1, -1, -1])
+        for scores in ([1, 2, 0, 3, 4, 5, 6], [0, 3, 1, 2, 4, 5, 6]):
+            assert evaluate(np.array(scores, dtype=float), labels).auc == 0.2
 
     def test_balanced_accuracy(self):
         scores = np.array([1.0, 1.0, 1.0, -1.0])
