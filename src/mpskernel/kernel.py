@@ -8,15 +8,17 @@ A :class:`TileSchedule` is a checked record of one Gram's kind (``train`` or
 count ``k`` and a strategy (``no_messaging`` or ``round_robin``), which
 callers record alongside the Gram but which never shape it:
 :func:`run_distributed` simulates each row once and fills the Gram in one
-pass on the calling thread. :func:`save_gram` writes a Gram as CSV, with a
-JSON sidecar of the caller's metadata (the Gram's kind among it) and shape.
+pass on the calling thread. Before that pass, :func:`coarse_grain` merges the
+Gram's states into blocks of consecutive qubits. :func:`save_gram` writes a
+Gram as CSV, with a JSON sidecar of the caller's metadata (the Gram's kind
+among it) and shape.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,6 +73,49 @@ def _check_rows(X, m: int) -> np.ndarray:
     return X
 
 
+def coarse_grain(states: list[MpsState]) -> list[MpsState]:
+    """The states with their sites merged into blocks of consecutive qubits.
+
+    One partition serves every state. It is read from the Gram's bond
+    profile, the largest left bond at each site over all the states: scanning
+    left to right, the next site joins the current block only while the
+    merged block (l, 2^g, r) has no more entries at that profile than the
+    separate sites it replaces. So the partition depends only on the state
+    shapes. Each block is contracted once, one reshaped GEMM per absorbed
+    site, into a site of physical dimension 2^g (its first qubit most
+    significant). The center moves to the block that holds it, so its flanks
+    stay isometries, and every counter is copied: the merged chain's bonds
+    are a subset of the original's.
+    """
+    if not states:
+        return []
+    m = states[0].m
+    if any(s.m != m for s in states):
+        raise ValueError("qubit count mismatch between states")
+    chi = [max(s.sites[i].shape[0] for s in states) for i in range(m)] + [1]
+    starts = [0]
+    separate = 0  # entries of the current block's sites, kept apart
+    for i in range(m):
+        separate += chi[i] * 2 * chi[i + 1]
+        if chi[starts[-1]] * 2 ** (i + 1 - starts[-1]) * chi[i + 1] > separate:
+            starts.append(i)
+            separate = chi[i] * 2 * chi[i + 1]
+    blocks = list(zip(starts, starts[1:] + [m]))
+    return [_merge_blocks(s, blocks) for s in states]
+
+
+def _merge_blocks(state: MpsState, blocks: list[tuple[int, int]]) -> MpsState:
+    sites = []
+    for start, stop in blocks:
+        acc = state.sites[start]
+        for site in state.sites[start + 1 : stop]:
+            acc = acc.reshape(-1, site.shape[0]) @ site.reshape(site.shape[0], -1)  # (l p, p' r)
+            acc = acc.reshape(state.sites[start].shape[0], -1, site.shape[2])
+        sites.append(acc)
+    center = next(b for b, (start, stop) in enumerate(blocks) if start <= state.ortho_center < stop)
+    return replace(state, sites=sites, ortho_center=center, timings=dict(state.timings))
+
+
 def compute_gram(
     bras: list[MpsState],
     kets: list[MpsState],
@@ -81,17 +126,24 @@ def compute_gram(
 
     ``train`` requires ``bras is kets``; only the strict upper triangle is
     computed and mirrored, and the diagonal is fixed to 1 since simulated
-    states are normalized. ``test`` computes every entry.
+    states are normalized. ``test`` computes every entry. The loop makes one
+    :func:`inner_product` call per entry it computes, on the states as
+    :func:`coarse_grain` merges them, bras and kets together. The partition
+    follows the bond profile of this Gram's own states, so the same pair can
+    differ by about 1e-15 between two Grams built from different rows.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     train = kind == "train"
     if train and (len(bras) != len(kets) or any(a is not b for a, b in zip(bras, kets))):
         raise ValueError("train kind requires bras and kets to be the same states")
-    if bras and kets and bras[0].m != kets[0].m:
-        raise ValueError("qubit count mismatch between state lists")
     K = np.eye(len(bras)) if train else np.empty((len(bras), len(kets)))
     t0 = time.perf_counter()
+    if train:
+        bras = kets = coarse_grain(kets)
+    else:
+        merged = coarse_grain(bras + kets)
+        bras, kets = merged[: len(bras)], merged[len(bras) :]
     for i in range(len(bras)):
         for j in range(i + 1 if train else 0, len(kets)):
             K[i, j] = abs(inner_product(bras[i], kets[j])) ** 2

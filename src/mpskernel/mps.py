@@ -11,7 +11,9 @@ each doubled bond is split by one truncating SVD. Every truncating split draws
 on the same budget, and the discarded weight is accumulated on the state.
 Contractions are GEMMs on row-major views of the sites: one (l*2, 2*r) GEMM
 merges a gate pair, an overlap takes two per site on a (bra bond, ket bond)
-environment, and the dense export one per site.
+environment, and the dense export one per site. Both read a site's physical
+dimension from its shape, so they also take chains whose sites merge several
+qubits (``kernel.coarse_grain``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ class MpsState:
     bounds every bond of the state. ``gate_count_2q`` counts truncating
     splits: one per adjacent two-qubit gate and one per bond a fan-out spans.
     ``timings`` holds wall seconds per phase, and ``entry_count()`` times 16
-    is the state's memory in bytes.
+    is the state's memory in bytes. A coarse-grained chain
+    (``kernel.coarse_grain``) has sites of physical dimension 2^g, one per
+    block of g qubits; its ``m`` counts blocks, its ``ortho_center`` is a
+    block index, and only :func:`inner_product` and :func:`to_statevector`
+    read it.
     """
 
     sites: list[np.ndarray]
@@ -62,6 +68,7 @@ class MpsState:
 
     @property
     def m(self) -> int:
+        """Number of sites: qubits, or blocks of a coarse-grained chain."""
         return len(self.sites)
 
     def entry_count(self) -> int:
@@ -305,7 +312,11 @@ def simulate_circuit(
 
 
 def inner_product(bra: MpsState, ket: MpsState) -> complex:
-    """<bra, ket>, bra conjugated: two GEMMs per site on a (bra bond, ket bond) environment."""
+    """<bra, ket>, bra conjugated: two GEMMs per site on a (bra bond, ket bond) environment.
+
+    The chains must match in sites and physical dimensions, which may be any
+    (a coarse-grained site holds several qubits).
+    """
     if bra.m != ket.m:
         raise ValueError(f"qubit count mismatch: {bra.m} vs {ket.m}")
     env = np.ones((1, 1), dtype=np.complex128)
@@ -316,8 +327,12 @@ def inner_product(bra: MpsState, ket: MpsState) -> complex:
 
 
 def to_statevector(state: MpsState) -> np.ndarray:
-    """Amplitude vector of length 2^m, qubit 0 most significant."""
-    if state.m > _MAX_DENSE_QUBITS:
+    """Amplitude vector over the sites' physical indices, site 0 most significant.
+
+    That is 2^m amplitudes, qubit 0 most significant, for a chain of qubits,
+    and the same vector for its coarse-grained chain.
+    """
+    if math.prod(site.shape[1] for site in state.sites) > 2**_MAX_DENSE_QUBITS:
         raise ValueError(f"refusing dense conversion beyond {_MAX_DENSE_QUBITS} qubits")
     acc = np.ones((1, 1), dtype=np.complex128)  # (amplitudes so far, bond)
     for site in state.sites:

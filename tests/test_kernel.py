@@ -1,5 +1,6 @@
 """Tests for Gram computation, the schedule record and the Gram executor."""
 
+import copy
 import threading
 import time
 
@@ -12,13 +13,21 @@ from mpskernel.kernel import (
     STRATEGIES,
     RunReport,
     TileSchedule,
+    coarse_grain,
     compute_gram,
     make_schedule,
     run_distributed,
     save_gram,
     simulate_dataset,
 )
-from mpskernel.mps import apply_gate, init_state, inner_product, to_statevector
+from mpskernel.mps import (
+    MpsState,
+    apply_gate,
+    canonicalize,
+    init_state,
+    inner_product,
+    to_statevector,
+)
 
 from oracles import gram_dense
 
@@ -97,6 +106,112 @@ class TestComputeGram:
             report = RunReport()
             compute_gram(states[:n], states[:n], "train", report=report)
             assert report.n_inner_products == n * (n - 1) // 2
+
+
+# (m, d) with d in {1, 3, 6} capped at m - 1; one qubit has no couplings
+MIXED_CASES = sorted({(m, min(d, max(m - 1, 1))) for m in (1, 2, 3, 15) for d in (1, 3, 6)})
+# the cases small enough for dense vectors, and m=10, where blocks form
+DENSE_CASES = [c for c in MIXED_CASES if c[0] <= 10] + [(10, 1), (10, 3), (10, 6)]
+
+
+@pytest.fixture(scope="module")
+def mixed_states():
+    """Per (m, d): five states from two bandwidths, so one Gram mixes bond profiles."""
+    cache = {}
+
+    def get(m, d):
+        if (m, d) not in cache:
+            rng = np.random.default_rng(100 * m + d)
+            X = rng.uniform(0.0, 2.0, (5, m))
+            if m == 1:
+                cache[m, d] = []
+                for x in X[:, 0]:
+                    state = init_state(1)
+                    apply_gate(state, Gate("H", (0,)))
+                    apply_gate(state, Gate("RZ", (0,), float(x)))
+                    cache[m, d].append(state)
+            else:
+                narrow = simulate_dataset(X[:3], FeatureMapConfig(m, 2, d, 0.1))
+                cache[m, d] = narrow + simulate_dataset(X[3:], FeatureMapConfig(m, 2, d, 1.0))
+        return cache[m, d]
+
+    return get
+
+
+def _raw_gram(bras, kets):
+    return np.array([[abs(inner_product(a, b)) ** 2 for b in kets] for a in bras])
+
+
+class TestCoarseGrain:
+    @pytest.mark.parametrize("m,d", MIXED_CASES)
+    def test_gram_matches_raw_pair_loop(self, mixed_states, m, d):
+        states = mixed_states(m, d)
+        train = compute_gram(states, states, "train")
+        raw = _raw_gram(states, states)
+        np.fill_diagonal(raw, 1.0)
+        assert np.abs(train - raw).max() < 1e-13
+        assert np.array_equal(train, train.T)
+        bras = [states[4], states[0]]
+        test = compute_gram(bras, states, "test")
+        assert np.abs(test - _raw_gram(bras, states)).max() < 1e-13
+
+    @pytest.mark.parametrize("m,d", DENSE_CASES)
+    def test_states_keep_vector_and_isometric_flanks(self, mixed_states, m, d):
+        # each state as simulated and with its center moved to the middle
+        states = mixed_states(m, d)
+        states = states + [canonicalize(copy.deepcopy(s), m // 2) for s in states]
+        for state, merged in zip(states, coarse_grain(states)):
+            assert np.abs(to_statevector(merged) - to_statevector(state)).max() < 1e-13
+            for counter in ("peak_chi", "accumulated_discard", "gate_count_1q", "gate_count_2q"):
+                assert getattr(merged, counter) == getattr(state, counter), counter
+            for b, site in enumerate(merged.sites):
+                chi_l, p, chi_r = site.shape
+                if b < merged.ortho_center:
+                    mat = site.reshape(chi_l * p, chi_r)
+                    assert np.abs(mat.conj().T @ mat - np.eye(chi_r)).max() < 1e-13
+                elif b > merged.ortho_center:
+                    mat = site.reshape(chi_l, p * chi_r)
+                    assert np.abs(mat @ mat.conj().T - np.eye(chi_l)).max() < 1e-13
+
+    def test_blocks_follow_the_bond_profile(self):
+        # bonds 1,2,4,...,4,2,1: the left edge merges four sites, the bulk
+        # pairs, and the right edge three; a product state's sites pair up
+        rng = np.random.default_rng(0)
+        chi = [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 2, 1]
+        sites = [rng.normal(size=(chi[i], 2, chi[i + 1])) + 0j for i in range(11)]
+        merged = coarse_grain([MpsState(sites, ortho_center=5)])[0]
+        assert [t.shape for t in merged.sites] == [(1, 16, 4), (4, 4, 4), (4, 4, 4), (4, 8, 1)]
+        assert merged.ortho_center == 1
+        assert [t.shape[1] for t in coarse_grain([init_state(5)])[0].sites] == [4, 4, 2]
+
+    def test_mismatched_qubit_counts_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            coarse_grain([init_state(3), init_state(4)])
+
+    def test_dense_limit_counts_qubits_not_blocks(self):
+        merged = coarse_grain([init_state(21)])[0]
+        assert merged.m < 21
+        with pytest.raises(ValueError, match="refusing"):
+            to_statevector(merged)
+
+
+class TestPairLoopContract:
+    def test_one_inner_product_call_per_entry(self, states, monkeypatch):
+        calls = []
+        real = kernel.inner_product
+
+        def counted(bra, ket):
+            calls.append(None)
+            return real(bra, ket)
+
+        monkeypatch.setattr(kernel, "inner_product", counted)
+        for n in (1, 2, 8):
+            calls.clear()
+            compute_gram(states[:n], states[:n], "train")
+            assert len(calls) == n * (n - 1) // 2, n
+            calls.clear()
+            compute_gram(states[:3], states[:n], "test")
+            assert len(calls) == 3 * n, n
 
 
 class TestMakeSchedule:

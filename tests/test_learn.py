@@ -220,6 +220,37 @@ class TestSvmTrain:
             with pytest.raises(ValueError, match="C"):
                 svm_train(K, np.array([1, -1, 1]), C=C)
 
+    def test_near_symmetric_kernels_rejected(self):
+        # the check keeps np.allclose(K, K.T, atol=1e-10) semantics
+        x = np.random.default_rng(14).normal(size=40)
+        y = np.where(np.arange(40) % 2 == 0, 1, -1)
+        K = 1.0 / (1.0 + (x[:, None] - x[None, :]) ** 2)
+        K[3, 31] = K[31, 3] = 0.0  # so the relative tolerance adds nothing
+        off = K.copy()
+        off[3, 31] = 2e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            svm_train(off, y, C=1.0)
+        within = K.copy()
+        within[3, 31] = 5e-11
+        svm_train(within, y, C=1.0)
+        nan = K.copy()
+        nan[5, 5] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            svm_train(nan, y, C=1.0)
+
+    def test_symmetric_kernel_model_is_pinned(self):
+        # a kernel built by exact arithmetic, and the model the full allclose
+        # check gave on it, bit for bit
+        x = np.random.default_rng(13).normal(size=10)
+        y = np.array([1, -1, 1, 1, -1, 1, -1, 1, -1, -1])
+        K = 1.0 / (1.0 + (x[:, None] - x[None, :]) ** 2)
+        model = svm_train(K, y, C=4.0)
+        expected = [4.0, -0.1599101127273173, 4.0, 1.1170711761888736, -4.0,
+                    2.0320332158739647, -3.0555803933107595, 4.0, -3.9336138860247614, -4.0]
+        assert model.dual_coefs.tolist() == expected
+        assert model.bias == -0.7478407428772841
+        assert model.support_indices.tolist() == list(range(10))
+
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(40, 3))
